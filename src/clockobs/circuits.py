@@ -1,17 +1,19 @@
 """Reversible permutation-gate circuits compiled from machine specs.
 
-Two artifacts come out of this module. ``build_step_circuit`` emits the
-single-step circuit U for a machine: a move gate on (head, tape_index), a
-wall of index-controlled swaps that fetches the scanned cell into the
-accumulator, a rewrite gate on (head, accumulator), and the mirror wall that
-writes the cell back. One application of U performs the current state's
-transition (a move immediately followed by a rewrite is fused into the same
-application).
+The single-step circuit U is defined once, as an ordered list of
+register-level maps: a move on (head, tape_index), a wall of index-controlled
+swaps that fetches the scanned cell into the accumulator, a rewrite on
+(head, accumulator), and the mirror wall that writes the cell back.
+``build_step_circuit`` lifts that list to gates. One application of U
+performs the current state's transition (a move immediately followed by a
+rewrite is fused into the same application).
 
-``build_wrapper_circuit`` wraps U into the self-looping circuit V. V adds a
-one-bit ``solution`` register, a four-valued ``operation_mode`` register and
-two width-(m+1) counters, where m is the bit size of the machine register
-space. The four modes are:
+``build_wrapper_circuit`` builds the self-looping circuit V from the same
+list: U's maps controlled on the run mode, then the inverted maps in reverse
+order (U^-1) controlled on the unwind-run mode. V adds a one-bit
+``solution`` register, a four-valued ``operation_mode`` register and two
+width-(m+1) counters, where m is the bit size of the machine register space.
+The four modes are:
 
     run (00)         apply U, count up
     pad (01)         count up, pad the pass out to counter = all-ones
@@ -35,7 +37,9 @@ touches at most two wires.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -74,10 +78,7 @@ class Wire:
     def __post_init__(self) -> None:
         if self.dimension < 2:
             raise DimensionError(f"wire {self.id} has dimension {self.dimension} < 2")
-        prod = 1
-        for d in self.field_dims:
-            prod *= d
-        if prod != self.dimension:
+        if math.prod(self.field_dims) != self.dimension:
             raise DimensionError(f"wire {self.id} field dims do not multiply out")
 
 
@@ -133,6 +134,10 @@ class RegisterLayout:
     def wire_dims(self) -> tuple[int, ...]:
         return tuple(w.dimension for w in self.wires)
 
+    def register_dim(self, register: str) -> int:
+        w, f = self.slots[register]
+        return self.wires[w].field_dims[f]
+
     # -- field packing ------------------------------------------------------
 
     def decode_wire(self, wire: Wire, value: int) -> list[int]:
@@ -181,23 +186,12 @@ class RegisterLayout:
         updates = {R_HEAD: self.state_index[self.initial_state], R_INDEX: 0}
         for cell in range(1, self.n_cells + 1):
             s = word[cell - 1] if cell <= len(word) else self.alphabet[0]
+            if s not in sym:
+                raise DimensionError(
+                    f"input symbol {s!r} is not in the alphabet {' '.join(self.alphabet)}"
+                )
             updates[tape_register(cell)] = sym[s]
         return self.set_registers(self.zero_state(), updates)
-
-    def describe_state(self, state: BasisState) -> dict[str, int | str]:
-        """Human-oriented register view of a basis state."""
-        out: dict[str, int | str] = {}
-        for reg in self.slots:
-            v = self.get_register(state, reg)
-            if reg == R_HEAD:
-                out[reg] = self.state_ids[v]
-            elif reg == R_INDEX:
-                out[reg] = v + 1
-            elif reg == R_ACC or reg.startswith("tape_"):
-                out[reg] = self.alphabet[v]
-            else:
-                out[reg] = v
-        return out
 
 
 @dataclass(frozen=True)
@@ -205,7 +199,8 @@ class PermGate:
     """A permutation of the joint basis of the wires in ``support``.
 
     ``table[i] = j`` maps packed input index i to packed output index j,
-    mixed-radix over the support dims. The table must be a bijection.
+    mixed-radix over the support dims. The table must be a bijection, and
+    is made read-only so it stays one.
     """
 
     support: tuple[int, ...]
@@ -214,13 +209,12 @@ class PermGate:
     label: str
 
     def __post_init__(self) -> None:
-        size = 1
-        for d in self.dims:
-            size *= d
+        size = math.prod(self.dims)
         if len(self.table) != size:
             raise PermutationError(f"gate {self.label}: table size {len(self.table)} != {size}")
         if not np.array_equal(np.sort(self.table), np.arange(size)):
             raise PermutationError(f"gate {self.label}: table is not a bijection")
+        self.table.flags.writeable = False
 
     def apply_values(self, values: list[int]) -> None:
         idx = 0
@@ -272,9 +266,7 @@ def _machine_field_list(spec: RtmSpec) -> list[tuple[str, int]]:
 
 
 def state_bits(spec: RtmSpec) -> int:
-    space = 1
-    for _, d in _machine_field_list(spec):
-        space *= d
+    space = math.prod(d for _, d in _machine_field_list(spec))
     return max(1, (space - 1).bit_length())  # ceil(log2(space)), at least 1
 
 
@@ -284,10 +276,7 @@ def _build_layout(
     # registers with a single possible value (a one-cell tape index, say)
     # cannot stand as wires of their own; fold them into the first real wire
     def group_dim(group: list[tuple[str, int]]) -> int:
-        dim = 1
-        for _, d in group:
-            dim *= d
-        return dim
+        return math.prod(d for _, d in group)
 
     trivial = [f for g in groups if group_dim(g) == 1 for f in g]
     groups = [g for g in groups if group_dim(g) >= 2]
@@ -299,13 +288,8 @@ def _build_layout(
     wires = []
     slots: dict[str, tuple[int, int]] = {}
     for wid, group in enumerate(groups):
-        dims = tuple(d for _, d in group)
-        dim = 1
-        for d in dims:
-            dim *= d
-        wires.append(
-            Wire(id=wid, dimension=dim, fields=tuple(n for n, _ in group), field_dims=dims)
-        )
+        names, dims = zip(*group)
+        wires.append(Wire(id=wid, dimension=math.prod(dims), fields=names, field_dims=dims))
         for fidx, (name, _) in enumerate(group):
             if name in slots:
                 raise DimensionError(f"register {name} assigned twice")
@@ -426,9 +410,7 @@ def lift_gate(
     wire_ids = sorted({layout.slots[r][0] for r in registers})
     touched = [layout.wires[w] for w in wire_ids]
     dims = tuple(w.dimension for w in touched)
-    size = 1
-    for d in dims:
-        size *= d
+    size = math.prod(dims)
     table = np.empty(size, dtype=np.int64)
     for packed in range(size):
         rem = packed
@@ -453,18 +435,18 @@ def lift_gate(
 
 
 # ---------------------------------------------------------------------------
-# step-circuit gate maps
+# the step circuit U as register-level maps
 
-def _moving_pair_map(spec: RtmSpec, layout: RegisterLayout) -> dict[tuple, tuple]:
+def _moving_pair_map(spec: RtmSpec) -> dict[tuple, tuple]:
     """Permutation of (head, index) pairs realizing the moving transitions.
 
     Rule images take priority; states left untouched keep their identity when
     no rule image collides with it, and the leftovers are matched canonically
     so the table stays a bijection.
     """
-    sidx = layout.state_index
-    n = layout.n_cells
-    universe = [(s, i) for s in range(len(layout.state_ids)) for i in range(n)]
+    sidx = {s: i for i, s in enumerate(spec.states)}
+    n = spec.tape_cells
+    universe = [(s, i) for s in range(len(spec.states)) for i in range(n)]
     required: dict[tuple, tuple] = {}
     for state, rule in spec.moving_rules.items():
         for i in range(n):
@@ -472,13 +454,11 @@ def _moving_pair_map(spec: RtmSpec, layout: RegisterLayout) -> dict[tuple, tuple
     return complete_permutation(universe, required)
 
 
-def _rw_pair_map(spec: RtmSpec, layout: RegisterLayout) -> dict[tuple, tuple]:
+def _rw_pair_map(spec: RtmSpec) -> dict[tuple, tuple]:
     """Permutation of (head, acc) pairs realizing the read-write transitions."""
-    sidx = layout.state_index
-    aidx = layout.symbol_index
-    universe = [
-        (s, a) for s in range(len(layout.state_ids)) for a in range(len(layout.alphabet))
-    ]
+    sidx = {s: i for i, s in enumerate(spec.states)}
+    aidx = {a: i for i, a in enumerate(spec.alphabet)}
+    universe = [(s, a) for s in range(len(spec.states)) for a in range(len(spec.alphabet))]
     required = {
         (sidx[r.source], aidx[r.read]): (sidx[r.target], aidx[r.write])
         for r in spec.rw_rules.values()
@@ -486,22 +466,12 @@ def _rw_pair_map(spec: RtmSpec, layout: RegisterLayout) -> dict[tuple, tuple]:
     return complete_permutation(universe, required)
 
 
-def _invert(pair_map: dict[tuple, tuple]) -> dict[tuple, tuple]:
-    return {v: k for k, v in pair_map.items()}
-
-
-def build_moving_gate(
-    spec: RtmSpec, layout: RegisterLayout | None = None
-) -> PermGate:
-    """The gate on (head, tape_index) for all moving transitions."""
-    layout = layout or machine_layout(spec)
-    pair = _moving_pair_map(spec, layout)
-
+def _pair_fn(first: str, second: str, pair: dict[tuple, tuple]):
     def fn(env: dict[str, int]) -> dict[str, int]:
-        h, i = pair[(env[R_HEAD], env[R_INDEX])]
-        return {R_HEAD: h, R_INDEX: i}
+        x, y = pair[(env[first], env[second])]
+        return {first: x, second: y}
 
-    return lift_gate(layout, [R_HEAD, R_INDEX], fn, "move")
+    return fn
 
 
 def _wall_fn(cell: int) -> Callable[[dict[str, int]], dict[str, int] | None]:
@@ -515,23 +485,59 @@ def _wall_fn(cell: int) -> Callable[[dict[str, int]], dict[str, int] | None]:
     return fn
 
 
+def _step_maps(spec: RtmSpec) -> list[tuple[str, tuple[str, ...], Callable]]:
+    """U as an ordered list of ``(label, registers read, fn)``: the move, the
+    swap wall, the rewrite and the mirror swap wall. ``fn`` receives the
+    values of the registers it reads and returns the changed ones (None for
+    identity)."""
+
+    def wall(tag: str) -> list[tuple[str, tuple[str, ...], Callable]]:
+        return [
+            (f"{tag}[{i}]", (R_INDEX, R_ACC, tape_register(i)), _wall_fn(i))
+            for i in range(1, spec.tape_cells + 1)
+        ]
+
+    move = ("move", (R_HEAD, R_INDEX), _pair_fn(R_HEAD, R_INDEX, _moving_pair_map(spec)))
+    rewrite = ("rewrite", (R_HEAD, R_ACC), _pair_fn(R_HEAD, R_ACC, _rw_pair_map(spec)))
+    return [move] + wall("swap") + [rewrite] + wall("swap2")
+
+
+def _inverse_map(
+    layout: RegisterLayout, registers: Sequence[str], fn: Callable
+) -> Callable[[dict[str, int]], dict[str, int]]:
+    """Inverse of a register-level bijection, tabulated over every assignment
+    of the registers it reads."""
+    inverse: dict[tuple, tuple] = {}
+    domain = list(itertools.product(*(range(layout.register_dim(r)) for r in registers)))
+    for values in domain:
+        env = dict(zip(registers, values))
+        env.update(fn(dict(env)) or {})
+        inverse[tuple(env[r] for r in registers)] = values
+    if len(inverse) != len(domain):
+        raise PermutationError(f"map on {list(registers)} is not a bijection")
+
+    def fn_inv(env: dict[str, int]) -> dict[str, int]:
+        return dict(zip(registers, inverse[tuple(env[r] for r in registers)]))
+
+    return fn_inv
+
+
+def _lift_maps(layout: RegisterLayout, maps) -> list[PermGate]:
+    return [lift_gate(layout, registers, fn, label) for label, registers, fn in maps]
+
+
+def build_moving_gate(
+    spec: RtmSpec, layout: RegisterLayout | None = None
+) -> PermGate:
+    """U's first gate: the move on (head, tape_index)."""
+    return _lift_maps(layout or machine_layout(spec), _step_maps(spec)[:1])[0]
+
+
 def build_rw_gates(
     spec: RtmSpec, layout: RegisterLayout | None = None
 ) -> list[PermGate]:
-    """Swap wall, rewrite gate on (head, acc), mirror swap wall."""
-    layout = layout or machine_layout(spec)
-    pair = _rw_pair_map(spec, layout)
-
-    def rewrite(env: dict[str, int]) -> dict[str, int]:
-        h, a = pair[(env[R_HEAD], env[R_ACC])]
-        return {R_HEAD: h, R_ACC: a}
-
-    wall = [
-        lift_gate(layout, [R_INDEX, R_ACC, tape_register(i)], _wall_fn(i), f"swap[{i}]")
-        for i in range(1, spec.tape_cells + 1)
-    ]
-    w_gate = lift_gate(layout, [R_HEAD, R_ACC], rewrite, "rewrite")
-    return wall + [w_gate] + wall
+    """The rest of U: swap wall, rewrite gate on (head, acc), mirror swap wall."""
+    return _lift_maps(layout or machine_layout(spec), _step_maps(spec)[1:])
 
 
 def _guard_initial_state(spec: RtmSpec) -> None:
@@ -562,8 +568,7 @@ def build_step_circuit(spec: RtmSpec) -> Circuit:
     move that lands on a read-write state performs both in one application)."""
     _guard_initial_state(spec)
     layout = machine_layout(spec)
-    gates = [build_moving_gate(spec, layout)] + build_rw_gates(spec, layout)
-    return Circuit(layout=layout, gates=tuple(gates))
+    return Circuit(layout=layout, gates=tuple(_lift_maps(layout, _step_maps(spec))))
 
 
 # ---------------------------------------------------------------------------
@@ -590,101 +595,26 @@ def build_wrapper_circuit(spec: RtmSpec, merge_cells: bool = True) -> Circuit:
     layout = wrapper_layout(spec, merge_cells=merge_cells)
     cmax = layout.counter_max
     csize = layout.counter_size
-    moving = _moving_pair_map(spec, layout)
-    rewrite = _rw_pair_map(spec, layout)
-    moving_inv = _invert(moving)
-    rewrite_inv = _invert(rewrite)
     final_idx = frozenset(layout.state_index[s] for s in layout.final_states)
     accept = layout.symbol_index.get(ACCEPT_SYMBOL)
     rc_reg = tape_register(spec.result_cell)
 
-    def move_fn(pair):
-        def fn(env):
-            h, i = pair[(env[R_HEAD], env[R_INDEX])]
-            return {R_HEAD: h, R_INDEX: i}
-
-        return fn
-
-    def rw_fn(pair):
-        def fn(env):
-            h, a = pair[(env[R_HEAD], env[R_ACC])]
-            return {R_HEAD: h, R_ACC: a}
-
-        return fn
-
-    gates: list[PermGate] = []
-
-    # forward payload, controlled on mode=run
-    gates.append(
+    # the payload is U itself: its maps controlled on run, then U^-1 (each
+    # map inverted, in reverse order) controlled on unwind-run
+    maps = _step_maps(spec)
+    gates = [
+        lift_gate(layout, (R_MODE, *registers), _controlled(MODE_RUN, fn), f"run:{label}")
+        for label, registers, fn in maps
+    ]
+    gates += [
         lift_gate(
             layout,
-            [R_MODE, R_HEAD, R_INDEX],
-            _controlled(MODE_RUN, move_fn(moving)),
-            "run:move",
+            (R_MODE, *registers),
+            _controlled(MODE_UNRUN, _inverse_map(layout, registers, fn)),
+            f"unrun:{label}",
         )
-    )
-    for i in range(1, spec.tape_cells + 1):
-        gates.append(
-            lift_gate(
-                layout,
-                [R_MODE, R_INDEX, R_ACC, tape_register(i)],
-                _controlled(MODE_RUN, _wall_fn(i)),
-                f"run:swap[{i}]",
-            )
-        )
-    gates.append(
-        lift_gate(
-            layout,
-            [R_MODE, R_HEAD, R_ACC],
-            _controlled(MODE_RUN, rw_fn(rewrite)),
-            "run:rewrite",
-        )
-    )
-    for i in range(1, spec.tape_cells + 1):
-        gates.append(
-            lift_gate(
-                layout,
-                [R_MODE, R_INDEX, R_ACC, tape_register(i)],
-                _controlled(MODE_RUN, _wall_fn(i)),
-                f"run:swap2[{i}]",
-            )
-        )
-
-    # inverse payload, controlled on mode=unwind-run, gates in reverse order
-    for i in range(spec.tape_cells, 0, -1):
-        gates.append(
-            lift_gate(
-                layout,
-                [R_MODE, R_INDEX, R_ACC, tape_register(i)],
-                _controlled(MODE_UNRUN, _wall_fn(i)),
-                f"unrun:swap2[{i}]",
-            )
-        )
-    gates.append(
-        lift_gate(
-            layout,
-            [R_MODE, R_HEAD, R_ACC],
-            _controlled(MODE_UNRUN, rw_fn(rewrite_inv)),
-            "unrun:rewrite",
-        )
-    )
-    for i in range(spec.tape_cells, 0, -1):
-        gates.append(
-            lift_gate(
-                layout,
-                [R_MODE, R_INDEX, R_ACC, tape_register(i)],
-                _controlled(MODE_UNRUN, _wall_fn(i)),
-                f"unrun:swap[{i}]",
-            )
-        )
-    gates.append(
-        lift_gate(
-            layout,
-            [R_MODE, R_HEAD, R_INDEX],
-            _controlled(MODE_UNRUN, move_fn(moving_inv)),
-            "unrun:move",
-        )
-    )
+        for label, registers, fn in reversed(maps)
+    ]
 
     # counter: up in run/pad, down in unwind modes
     def counter_fn(env):
@@ -736,38 +666,15 @@ def build_wrapper_circuit(spec: RtmSpec, merge_cells: bool = True) -> Circuit:
         return fn
 
     halted = lambda env: env[R_IDLE] == 0 and env[R_HEAD] in final_idx  # noqa: E731
-    gates.append(
-        lift_gate(
-            layout,
-            [R_MODE, R_IDLE, R_HEAD],
-            swap_modes(MODE_RUN, MODE_PAD, halted),
-            "mode:run<->pad",
-        )
-    )
-    gates.append(
-        lift_gate(
-            layout,
-            [R_MODE, R_COUNTER],
-            swap_modes(MODE_PAD, MODE_UNPAD, lambda env: env[R_COUNTER] == cmax),
-            "mode:pad<->unpad",
-        )
-    )
-    gates.append(
-        lift_gate(
-            layout,
-            [R_MODE, R_COUNTER],
-            swap_modes(MODE_UNRUN, MODE_RUN, lambda env: env[R_COUNTER] == 0),
-            "mode:unrun<->run",
-        )
-    )
-    gates.append(
-        lift_gate(
-            layout,
-            [R_MODE, R_IDLE, R_HEAD],
-            swap_modes(MODE_UNPAD, MODE_UNRUN, halted),
-            "mode:unpad<->unrun",
-        )
-    )
+    at_top = lambda env: env[R_COUNTER] == cmax  # noqa: E731
+    at_zero = lambda env: env[R_COUNTER] == 0  # noqa: E731
+    for a, b, registers, cond, label in (
+        (MODE_RUN, MODE_PAD, (R_MODE, R_IDLE, R_HEAD), halted, "mode:run<->pad"),
+        (MODE_PAD, MODE_UNPAD, (R_MODE, R_COUNTER), at_top, "mode:pad<->unpad"),
+        (MODE_UNRUN, MODE_RUN, (R_MODE, R_COUNTER), at_zero, "mode:unrun<->run"),
+        (MODE_UNPAD, MODE_UNRUN, (R_MODE, R_IDLE, R_HEAD), halted, "mode:unpad<->unrun"),
+    ):
+        gates.append(lift_gate(layout, registers, swap_modes(a, b, cond), label))
 
     return Circuit(layout=layout, gates=tuple(gates))
 
@@ -841,17 +748,12 @@ def dump_circuit_json(circuit: Circuit) -> str:
 
 
 def replay_dump(dump: dict, values: Sequence[int]) -> tuple[int, ...]:
-    """Apply a dumped circuit's gate tables to a raw value vector."""
+    """Apply a dumped circuit's gate tables to a raw value vector. Each table
+    is rebuilt as a ``PermGate``, so one that is not a bijection is rejected."""
     if dump.get("format") != DUMP_FORMAT:
         raise DimensionError(f"unknown dump format {dump.get('format')!r}")
     vals = list(values)
     for g in dump["gates"]:
-        support, dims, table = g["support"], g["dims"], g["table"]
-        idx = 0
-        for w, d in zip(support, dims):
-            idx = idx * d + vals[w]
-        out = table[idx]
-        for pos in range(len(support) - 1, -1, -1):
-            vals[support[pos]] = out % dims[pos]
-            out //= dims[pos]
+        table = np.asarray(g["table"], dtype=np.int64)
+        PermGate(tuple(g["support"]), tuple(g["dims"]), table, g["label"]).apply_values(vals)
     return tuple(vals)

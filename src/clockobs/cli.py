@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: validate, compile, orbit, spectrum, sample, decide,
-phase-estimate, experiment. Exit codes: 0 success, 2 validation failure,
-3 budget exhaustion, 4 I/O failure.
+phase-estimate, experiment. orbit, sample and decide run the same compile,
+clock, accuracy and sampling stages as ``harness.run_experiment``. Exit
+codes: 0 success, 2 validation failure, 3 budget exhaustion, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -31,12 +32,8 @@ def _emit(data, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_spec(path: str) -> rtm.RtmSpec:
-    return rtm.parse_rtm_file(path)
-
-
 def _cmd_validate(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = rtm.parse_rtm_file(args.spec)
     report = rtm.check_reversibility(spec)
     _emit(
         {
@@ -54,29 +51,29 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = rtm.parse_rtm_file(args.spec)
     circuit = circuits.build_wrapper_circuit(spec, merge_cells=not args.no_merge_cells)
     _emit(circuits.dump_circuit_json(circuit) + "\n", args.out)
     return EXIT_OK
 
 
+def _clocked(args) -> tuple[rtm.RtmSpec, harness.ClockedCircuit]:
+    spec = rtm.parse_rtm_file(args.spec)
+    return spec, harness.compile_and_clock(spec, args.input, not args.no_merge_cells)
+
+
 def _cmd_orbit(args) -> int:
-    spec = _load_spec(args.spec)
-    circuit = circuits.build_wrapper_circuit(spec, merge_cells=not args.no_merge_cells)
-    layout = circuit.layout
-    initial = layout.initial_basis_state(args.input)
-    r_obs = circuits.circuit_orbit_length(circuit, initial)
-    op = clock.ForwardOperator(circuit)
-    orbit = clock.compute_orbit(op, clock.ClockedState(initial, 1))
-    locality = clock.locality_report(op)
+    spec, clocked = _clocked(args)
+    circuit, locality = clocked.circuit, clocked.locality
+    r_obs = circuits.circuit_orbit_length(circuit, clocked.orbit.initial.circuit_state)
     _emit(
         {
             "machine": spec.name,
-            "m": layout.m,
+            "m": circuit.layout.m,
             "gate_count": circuit.s,
-            "r_nominal": circuits.nominal_cycle_length(layout.m),
+            "r_nominal": clocked.r_nominal,
             "r_observed": r_obs,
-            "d_observed": orbit.dimension,
+            "d_observed": clocked.orbit.dimension,
             "locality": {
                 "max_support": locality.max_support,
                 "term_supports": list(locality.term_supports),
@@ -98,40 +95,23 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _draw(args) -> tuple[rtm.RtmSpec, metrology.SampleBatch]:
+    """One batch of ``--samples`` draws seeded with ``--seed``."""
+    spec, clocked = _clocked(args)
+    delta = harness.resolve_accuracy(args.accuracy, clocked.r_nominal, clocked.circuit.s)
+    return spec, harness.draw_samples(clocked, delta, args.samples, [args.seed], args.seed)
+
+
 def _cmd_sample(args) -> int:
-    spec = _load_spec(args.spec)
-    circuit = circuits.build_wrapper_circuit(spec, merge_cells=not args.no_merge_cells)
-    layout = circuit.layout
-    r = circuits.nominal_cycle_length(layout.m)
-    s = circuit.s
-    op = clock.ForwardOperator(circuit)
-    orbit = clock.compute_orbit(op, clock.ClockedState(layout.initial_basis_state(args.input), 1))
-    model = clock.spectral_model(orbit.dimension)
-    delta = 1.0 / (r * s) if args.accuracy == "auto" else float(args.accuracy)
-    acc = metrology.AccuracyModel(delta=delta)
-    batch = metrology.draw_batch(acc, model, args.samples, seed=args.seed, r=r, s=s)
-    lines = ["trial,raw_value,filtered,j,parity"]
-    for trial, value, kept, j, parity in metrology.batch_rows(batch, r, s):
-        lines.append(
-            f"{trial},{value!r},{int(kept)},{'' if j is None else j},{'' if parity is None else parity}"
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    _, batch = _draw(args)
+    _emit(harness.samples_csv(batch), args.out)
     return EXIT_OK
 
 
 def _cmd_decide(args) -> int:
-    spec = _load_spec(args.spec)
-    circuit = circuits.build_wrapper_circuit(spec, merge_cells=not args.no_merge_cells)
-    layout = circuit.layout
-    r = circuits.nominal_cycle_length(layout.m)
-    s = circuit.s
-    op = clock.ForwardOperator(circuit)
-    orbit = clock.compute_orbit(op, clock.ClockedState(layout.initial_basis_state(args.input), 1))
-    model = clock.spectral_model(orbit.dimension)
-    delta = 1.0 / (r * s) if args.accuracy == "auto" else float(args.accuracy)
-    acc = metrology.AccuracyModel(delta=delta)
-    batch = metrology.draw_batch(acc, model, args.samples, seed=args.seed, r=r, s=s)
-    decision = metrology.decide(batch, r, s)
+    spec, batch = _draw(args)
+    decision = metrology.decide(batch, batch.r, batch.s)
+    acc = batch.model
     _emit(
         {
             "machine": spec.name,
@@ -142,7 +122,7 @@ def _cmd_decide(args) -> int:
                 "success_prob": acc.success_prob,
                 "failure_mode": acc.failure_mode,
             },
-            "grid": {"r": r, "s": s},
+            "grid": {"r": batch.r, "s": batch.s},
             "verdict": decision.verdict,
             "odd_fraction": decision.odd_fraction,
             "filtered_count": decision.filtered_count,
@@ -156,9 +136,10 @@ def _cmd_decide(args) -> int:
 
 
 def _parse_phi(text: str) -> float:
-    if "/" in text:
+    try:
         return float(Fraction(text))
-    return float(text)
+    except ZeroDivisionError:
+        raise ValueError(f"phase {text!r} divides by zero") from None
 
 
 def _cmd_phase_estimate(args) -> int:
@@ -304,7 +285,7 @@ def cli_dispatch(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"[io] {exc}\n")
         return EXIT_IO
-    except ClockObsError as exc:
+    except (ClockObsError, ValueError) as exc:
         sys.stderr.write(f"[error] {exc}\n")
         return EXIT_VALIDATION
 

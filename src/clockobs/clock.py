@@ -93,24 +93,21 @@ class Orbit:
 def compute_orbit(
     op: ForwardOperator, initial: ClockedState, max_steps: int | None = None
 ) -> Orbit:
-    """Traverse until the initial pair recurs; verifies that every
-    intermediate state is distinct from the start (cycle property)."""
+    """Traverse until the initial pair recurs.
+
+    Every gate table is a read-only bijection, so the forward operator
+    permutes (state, clock) pairs and its first recurrence is the start
+    itself; no visited set is needed. A map that is not a permutation would
+    run into ``max_steps`` instead.
+    """
     _check_clock(op, initial)
     if max_steps is None:
         max_steps = 32 * op.s * op.circuit.layout.counter_size + op.s + 16
-    seen = {(initial.circuit_state.values, initial.clock_pos)}
     state = initial
     for step in range(1, max_steps + 1):
         state = apply_forward(op, state)
-        key = (state.circuit_state.values, state.clock_pos)
         if state == initial:
             return Orbit(op, initial, step)
-        if key in seen:
-            raise BudgetExceededError(
-                "orbit re-entered an intermediate state before the start; "
-                "the operator is not a permutation"
-            )
-        seen.add(key)
     raise BudgetExceededError(f"no recurrence within {max_steps} forward steps")
 
 

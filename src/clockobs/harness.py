@@ -3,6 +3,8 @@
 Loads a machine, compiles the self-looping circuit, measures the clock
 observable's orbit, samples accuracy-limited outcomes, and decides the
 machine's answer, comparing against ground truth from direct simulation.
+The compile/clock, accuracy, sampling and CSV stages are shared with the
+command line, so ``clockobs sample``/``decide``/``orbit`` run the same code.
 Every stage failure is re-raised tagged with the stage name. Reports are
 reproducible: the same config and seed give byte-identical report files
 (wall-clock timing is kept out of the serialized report for that reason).
@@ -11,8 +13,10 @@ reproducible: the same config and seed give byte-identical report files
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import asdict, dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -39,14 +43,22 @@ class ExperimentConfig:
             raise ValueError("samples_per_batch must be >= 1")
         if self.batch_count < 1:
             raise ValueError("batch_count must be >= 1")
-        if self.accuracy != AUTO_ACCURACY:
-            if not isinstance(self.accuracy, (int, float)) or self.accuracy <= 0:
-                raise ValueError(f"accuracy must be positive or 'auto', got {self.accuracy!r}")
+        if isinstance(self.accuracy, str) and self.accuracy != AUTO_ACCURACY:
+            raise ValueError(f"accuracy must be a positive number or 'auto', got {self.accuracy!r}")
+        resolve_accuracy(self.accuracy, 1, 1)
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(**data)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: config must be a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"{path}: unknown config keys {', '.join(unknown)}")
+        try:
+            return cls(**data)
+        except TypeError as exc:  # a missing key, or a value of the wrong type
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -93,22 +105,84 @@ def _version() -> str:
     return __version__
 
 
+@contextmanager
 def _stage(name: str):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, StageError):
-                raise StageError(name, exc) from exc
-            return False
-
-    return _Ctx()
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
 def batch_seed(seed: int, batch_index: int) -> list[int]:
     """Counter-style seed key: serial and parallel runs draw identically."""
     return [seed, batch_index]
+
+
+def resolve_accuracy(value: float | str, r: int, s: int) -> float:
+    """Accuracy delta for a setting: "auto" is the grid spacing 1/(r*s);
+    anything else must be a positive finite number, or a string spelling one."""
+    if value == AUTO_ACCURACY:
+        return 1.0 / (r * s)
+    try:
+        delta = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        delta = math.nan
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"accuracy must be a positive number or 'auto', got {value!r}")
+    return delta
+
+
+@dataclass(frozen=True)
+class ClockedCircuit:
+    """The self-looping circuit for a machine, clocked from one input."""
+
+    circuit: circuits.Circuit
+    r_nominal: int
+    locality: clock.LocalityReport
+    orbit: clock.Orbit
+    model: clock.SpectralModel
+
+
+def compile_and_clock(spec: rtm.RtmSpec, input_word: str, merge_cells: bool) -> ClockedCircuit:
+    """Stages compile, orbit and spectrum: build V, walk the clock orbit of
+    the input, and tabulate the orbit's spectrum."""
+    with _stage("compile"):
+        circuit = circuits.build_wrapper_circuit(spec, merge_cells=merge_cells)
+        op = clock.ForwardOperator(circuit)
+        locality = clock.locality_report(op)
+    with _stage("orbit"):
+        initial = clock.ClockedState(circuit.layout.initial_basis_state(input_word), 1)
+        orbit = clock.compute_orbit(op, initial)
+    with _stage("spectrum"):
+        model = clock.spectral_model(orbit.dimension)
+    r_nominal = circuits.nominal_cycle_length(circuit.layout.m)
+    return ClockedCircuit(circuit, r_nominal, locality, orbit, model)
+
+
+def draw_samples(
+    clocked: ClockedCircuit, accuracy: float, n: int, seeds: list, seed: int
+) -> metrology.SampleBatch:
+    """Stage sample: n measurements per key in ``seeds``, pooled into one
+    batch labelled ``seed``. The experimenter's grid is the nominal cycle
+    length, not the observed one, so the accuracy cannot leak the answer."""
+    with _stage("sample"):
+        r, s = clocked.r_nominal, clocked.circuit.s
+        acc_model = metrology.AccuracyModel(delta=accuracy)
+        values: list[float] = []
+        for key in seeds:
+            batch = metrology.draw_batch(acc_model, clocked.model, n, seed=key, r=r, s=s)
+            values.extend(batch.values)
+        return metrology.SampleBatch(tuple(values), seed, acc_model, clocked.orbit.dimension, r, s)
+
+
+def samples_csv(batch: metrology.SampleBatch) -> str:
+    """One row per sample: trial, raw value, kept flag, grid index, parity."""
+    lines = ["trial,raw_value,filtered,j,parity"]
+    for trial, value, kept, j, parity in metrology.batch_rows(batch, batch.r, batch.s):
+        lines.append(f"{trial},{value!r},1,{j},{parity}" if kept else f"{trial},{value!r},0,,")
+    return "\n".join(lines) + "\n"
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -135,49 +209,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 f"machine did not halt within {budget} steps; cannot certify"
             )
 
-    with _stage("compile"):
-        circuit = circuits.build_wrapper_circuit(spec, merge_cells=config.merge_cells)
-        layout = circuit.layout
-        r_nominal = circuits.nominal_cycle_length(layout.m)
-        op = clock.ForwardOperator(circuit)
-        locality = clock.locality_report(op)
-
-    with _stage("orbit"):
-        initial = clock.ClockedState(layout.initial_basis_state(config.input_word), 1)
-        orbit = clock.compute_orbit(op, initial)
-
-    with _stage("spectrum"):
-        model = clock.spectral_model(orbit.dimension)
-        gap_top = 1.0 - model.lines[1].eigenvalue if orbit.dimension > 1 else 0.0
-
-    # the experimenter-side grid: nominal cycle length, not the observed one,
-    # so the accuracy choice cannot leak the answer
-    grid_r, grid_s = r_nominal, circuit.s
-    accuracy = (
-        1.0 / (grid_r * grid_s) if config.accuracy == AUTO_ACCURACY else float(config.accuracy)
-    )
-
-    with _stage("sample"):
-        acc_model = metrology.AccuracyModel(delta=accuracy)
-        values: list[float] = []
-        for b in range(config.batch_count):
-            batch = metrology.draw_batch(
-                acc_model,
-                model,
-                config.samples_per_batch,
-                seed=batch_seed(config.seed, b),
-                r=grid_r,
-                s=grid_s,
-            )
-            values.extend(batch.values)
-        pooled = metrology.SampleBatch(
-            values=tuple(values),
-            seed=config.seed,
-            model=acc_model,
-            d=orbit.dimension,
-            r=grid_r,
-            s=grid_s,
-        )
+    clocked = compile_and_clock(spec, config.input_word, config.merge_cells)
+    orbit, model = clocked.orbit, clocked.model
+    grid_r, grid_s = clocked.r_nominal, clocked.circuit.s
+    gap_top = 1.0 - model.lines[1].eigenvalue if orbit.dimension > 1 else 0.0
+    accuracy = resolve_accuracy(config.accuracy, grid_r, grid_s)
+    seeds = [batch_seed(config.seed, b) for b in range(config.batch_count)]
+    pooled = draw_samples(clocked, accuracy, config.samples_per_batch, seeds, config.seed)
 
     with _stage("decide"):
         decision = metrology.decide(pooled, grid_r, grid_s)
@@ -186,11 +224,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(
         machine={
             "name": spec.name,
-            "m": layout.m,
+            "m": clocked.circuit.layout.m,
             "tape_cells": spec.tape_cells,
-            "gate_count": circuit.s,
+            "gate_count": grid_s,
         },
-        r_nominal=r_nominal,
+        r_nominal=grid_r,
         d_observed=orbit.dimension,
         f_ground_truth=truth.f_of_x,
         decision=decision,
@@ -199,7 +237,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             "distinct_eigenvalues": len(model.lines),
             "top_gap": gap_top,
         },
-        locality_max_support=locality.max_support,
+        locality_max_support=clocked.locality.max_support,
         agreement=decision.verdict == truth.f_of_x,
         accuracy=accuracy,
         accuracy_coarser_than_grid=accuracy > 1.0 / (grid_r * grid_s) + 1e-15,
@@ -221,15 +259,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             out = Path(config.out_dir)
             out.mkdir(parents=True, exist_ok=True)
             (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-            _write_batch_csv(out / "samples.csv", pooled, grid_r, grid_s)
+            (out / "samples.csv").write_text(samples_csv(pooled), encoding="utf-8")
     return report
 
-
-def _write_batch_csv(path: Path, batch: metrology.SampleBatch, r: int, s: int) -> None:
-    lines = ["trial,raw_value,filtered,j,parity"]
-    for trial, value, kept, j, parity in metrology.batch_rows(batch, r, s):
-        if kept:
-            lines.append(f"{trial},{value!r},1,{j},{parity}")
-        else:
-            lines.append(f"{trial},{value!r},0,,")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")

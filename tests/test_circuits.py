@@ -8,6 +8,7 @@ from clockobs.circuits import (
     MODE_PAD,
     MODE_RUN,
     MODE_UNPAD,
+    MODE_UNRUN,
     R_ACC,
     R_COUNTER,
     R_HEAD,
@@ -90,6 +91,12 @@ def test_complete_permutation_rejects_collisions():
 def test_perm_gate_rejects_non_bijection():
     with pytest.raises(PermutationError, match="not a bijection"):
         PermGate(support=(0,), dims=(2,), table=np.array([0, 0]), label="bad")
+
+
+def test_perm_gate_table_is_read_only():
+    gate = PermGate(support=(0,), dims=(2,), table=np.array([1, 0]), label="not")
+    with pytest.raises(ValueError):
+        gate.table[0] = 0
 
 
 def test_moving_gate_with_no_movers_is_identity():
@@ -528,3 +535,37 @@ def test_dump_header_records_idle_policy():
     dump = dump_circuit(build_wrapper_circuit(corpus.load("halt")))
     assert dump["header"]["unwind_run_idle_policy"] == "hold"
     assert dump["format"] == "clockobs-circuit/1"
+
+
+def test_replay_dump_rejects_corrupted_table():
+    dump = dump_circuit(build_wrapper_circuit(corpus.load("halt")))
+    table = dump["gates"][0]["table"]
+    table[0] = table[1]
+    state = wrapper_layout(corpus.load("halt")).initial_basis_state("0")
+    with pytest.raises(PermutationError, match="not a bijection"):
+        replay_dump(dump, state.values)
+
+
+def test_initial_state_rejects_symbol_outside_alphabet():
+    layout = wrapper_layout(corpus.load("flip"))
+    with pytest.raises(DimensionError, match="not in the alphabet"):
+        layout.initial_basis_state("2")
+
+
+@pytest.mark.parametrize("merged", [True, False])
+def test_wrapper_payload_runs_the_step_circuit_and_its_inverse(merged):
+    spec = corpus.load("rot3")
+    step = build_step_circuit(spec)
+    wrapper = build_wrapper_circuit(spec, merge_cells=merged)
+    layout = wrapper.layout
+    run = Circuit(layout, wrapper.gates[: step.s])
+    unrun = Circuit(layout, wrapper.gates[step.s : 2 * step.s])
+    assert [g.label for g in run.gates] == [f"run:{g.label}" for g in step.gates]
+    assert [g.label for g in unrun.gates] == [f"unrun:{g.label}" for g in step.gates[::-1]]
+    for config in rtm.all_configs(spec):
+        u_out = apply_circuit(step, machine_basis_state(spec, step.layout, config))
+        start = machine_basis_state(spec, layout, config)  # mode run
+        v_out = apply_circuit(run, start)
+        assert read_machine_registers(layout, v_out) == read_machine_registers(step.layout, u_out)
+        back = apply_circuit(unrun, layout.set_registers(v_out, {R_MODE: MODE_UNRUN}))
+        assert back == layout.set_registers(start, {R_MODE: MODE_UNRUN})

@@ -12,7 +12,7 @@ from clockobs.cli import (
     cli_dispatch,
 )
 from clockobs.errors import StageError
-from clockobs.harness import ExperimentConfig, batch_seed, run_experiment
+from clockobs.harness import ExperimentConfig, batch_seed, resolve_accuracy, run_experiment
 
 
 def flip_config(tmp_path, **overrides):
@@ -139,6 +139,27 @@ def test_config_validation():
         ExperimentConfig(spec_path="x", input_word="", accuracy=-1.0)
     with pytest.raises(ValueError):
         ExperimentConfig(spec_path="x", input_word="", accuracy="sometimes")
+
+
+def test_config_rejects_boolean_accuracy():
+    with pytest.raises(ValueError, match="accuracy"):
+        ExperimentConfig(spec_path="x", input_word="", accuracy=True)
+
+
+def test_config_file_names_unknown_keys(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"spec_path": "x", "input_word": "", "sedd": 1}), encoding="utf-8")
+    with pytest.raises(ValueError, match="unknown config keys sedd"):
+        ExperimentConfig.from_json_file(path)
+
+
+def test_resolve_accuracy():
+    assert resolve_accuracy("auto", 4, 5) == 1 / 20
+    assert resolve_accuracy("0.5", 4, 5) == 0.5
+    assert resolve_accuracy(2, 4, 5) == 2.0
+    for bad in ("abc", "0", -1.0, True, float("nan"), "inf", None):
+        with pytest.raises(ValueError):
+            resolve_accuracy(bad, 4, 5)
 
 
 def test_config_round_trips_through_json(tmp_path):
@@ -304,3 +325,38 @@ def test_cli_entrypoint_runs_as_module():
     )
     assert proc.returncode == EXIT_OK
     assert proc.stdout.startswith("j,eigenvalue")
+
+
+FLIP = str(corpus.path("flip"))
+BAD_CONFIGS = {
+    "unknown-key": {"spec_path": FLIP, "input_word": "0", "bogus": 1},
+    "bool-accuracy": {"spec_path": FLIP, "input_word": "0", "accuracy": True},
+    "missing-key": {"spec_path": FLIP},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", FLIP, "--input", "2"],
+        ["decide", FLIP, "--input", "0", "--accuracy", "abc"],
+        ["decide", FLIP, "--input", "0", "--samples", "0"],
+        ["sample", FLIP, "--input", "0", "--samples", "0"],
+        ["phase-estimate", "--phi", "1/3", "--m", "20"],
+        ["phase-estimate", "--phi", "1/0", "--m", "3"],
+        ["spectrum", "--d", "0"],
+        ["experiment", "--config", "unknown-key"],
+        ["experiment", "--config", "bool-accuracy"],
+        ["experiment", "--config", "missing-key"],
+    ],
+    ids=lambda argv: "-".join(a for a in argv if a != FLIP),
+)
+def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    if argv[-1] in BAD_CONFIGS:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(BAD_CONFIGS[argv[-1]]), encoding="utf-8")
+        argv = argv[:-1] + [str(path)]
+    assert cli_dispatch(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1

@@ -1,0 +1,79 @@
+"""Byte-level pins of outputs that refactors must not change.
+
+The digests were captured from an implementation that derived the wrapper's
+payload separately from the step circuit and ran its own pipeline in ``cli``,
+so they also show that building V from U's maps, and sharing the harness
+stages, changed no output. The merged flipwalk dump (``0958d962...1df8e1``)
+takes seconds to compile, so it is checked by hand rather than here.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from clockobs import corpus
+from clockobs.circuits import build_wrapper_circuit, dump_circuit_json
+from clockobs.cli import EXIT_OK, cli_dispatch
+from clockobs.harness import ExperimentConfig, run_experiment
+
+
+def sha256(text: str | bytes) -> str:
+    data = text.encode("utf-8") if isinstance(text, str) else text
+    return hashlib.sha256(data).hexdigest()
+
+
+WRAPPER_DUMPS = {
+    ("halt", True): "59244a08232d3d0fff44dad5003797b8a406f3986592fe5263f11c0df1e59de1",
+    ("halt", False): "7e90971118a6d10d3c292a610b8ca4b2bb8aa3388f0fdc97bf43d418a3b8f313",
+    ("flip", True): "0a9f580e65681b241f050fbb63a856bba32422f7c6fe32295d6ca1ab7f643b08",
+    ("flip", False): "a517b80b9e36dc78180ef8911f205ece236bb5a8e9d2b0e3112b740226adb4ea",
+    ("rot3", True): "d60e49ecf7ef93cfdbae07c76a5316a3440d57b354f40f31b062d8f5978d8b1f",
+    ("rot3", False): "cf9b47ea40e954c4c7a39231238eed2ef9684915bb9be96b876933267e8b7961",
+    ("flipwalk", False): "bcac7b386fd193c1a5e2d5cc363b16aaac435525081a6e501a523b25abda2e6a",
+}
+
+
+@pytest.mark.parametrize("name,merged", list(WRAPPER_DUMPS))
+def test_wrapper_dump_digest(name, merged):
+    circuit = build_wrapper_circuit(corpus.load(name), merge_cells=merged)
+    assert sha256(dump_circuit_json(circuit)) == WRAPPER_DUMPS[(name, merged)]
+
+
+CLI_STDOUT = {
+    ("orbit", "--input", "1"): "5d3ae01b629aa69cf944f098f3e515d38acaa5914c8d34acc3ecd149fae89b9e",
+    ("sample", "--input", "0", "--samples", "20", "--seed", "4"):
+        "920695f24d52f2dbf03c710efd259dde6555b12c2eba0f5e4a4d39b1d0348944",
+    ("decide", "--input", "0", "--samples", "400", "--seed", "4"):
+        "d16b9f6ca42bbf818e09a07194d6373a984b64e8973c4b4744fe915d446ec713",
+}
+
+
+@pytest.mark.parametrize("argv", list(CLI_STDOUT), ids=lambda argv: argv[0])
+def test_cli_stdout_digest(argv):
+    command, *options = argv
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_dispatch([command, str(corpus.path("flip")), *options]) == EXIT_OK
+    assert sha256(out.getvalue()) == CLI_STDOUT[argv]
+
+
+def test_experiment_output_digests(tmp_path):
+    spec_path = str(corpus.path("flip"))
+    config = ExperimentConfig(
+        spec_path=spec_path,
+        input_word="0",
+        samples_per_batch=150,
+        batch_count=3,
+        seed=11,
+        out_dir=str(tmp_path),
+    )
+    run_experiment(config)
+    # the report echoes the spec path, which depends on the checkout
+    report = (tmp_path / "report.json").read_text(encoding="utf-8").replace(spec_path, "SPEC")
+    assert sha256(report) == "983122c4fd6a9da0dbd9f9f32f9dc01ef557613005e822199d2d3cd72f6d4245"
+    assert (
+        sha256((tmp_path / "samples.csv").read_bytes())
+        == "462af3b2e17f3026996686fe58fef0e00cc8f6a3afc6e1072376827106a09e46"
+    )
