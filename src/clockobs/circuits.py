@@ -29,10 +29,11 @@ Iterating V therefore returns every register to its initial value after
 2*(2**(m+1)-1) applications, except the solution bit which accumulates the
 machine's answer; a machine that accepts doubles the cycle.
 
-All gates are explicit permutation tables over the wires they touch. With
-cell merging on (the default), the mode, head, index, accumulator, result
-cell and solution registers share a single qudit wire, so every emitted gate
-touches at most two wires.
+Each gate is a permutation table over the registers it reads; the other
+registers on its wires ride along, and its wire-level table is computed on
+demand. With cell merging on (the default), the mode, head, index,
+accumulator, result cell and solution registers share a single qudit wire,
+so every emitted gate touches at most two wires.
 """
 
 from __future__ import annotations
@@ -49,6 +50,12 @@ from .errors import BudgetExceededError, DimensionError, PermutationError
 from .rtm import ACCEPT_SYMBOL, RtmSpec, StateKind
 
 MODE_RUN, MODE_PAD, MODE_UNPAD, MODE_UNRUN = 0, 1, 2, 3
+
+# Size caps. Lifting takes about 2.5 us per register-level entry, and a dump
+# takes about 50 bytes per wire-level entry while it is built; flip3, the
+# largest machine exercised, needs 0.1M and (merged) 5.5M.
+MAX_GATE_ENTRIES = 2_000_000
+MAX_DUMP_ENTRIES = 6_000_000
 
 # register names used in layouts
 R_MODE = "operation_mode"
@@ -134,42 +141,26 @@ class RegisterLayout:
     def wire_dims(self) -> tuple[int, ...]:
         return tuple(w.dimension for w in self.wires)
 
-    def register_dim(self, register: str) -> int:
+    def field(self, register: str) -> tuple[int, int, int]:
+        """Where a register sits: its digit is ``values[wire] // stride % dim``."""
         w, f = self.slots[register]
-        return self.wires[w].field_dims[f]
+        dims = self.wires[w].field_dims
+        return w, math.prod(dims[f + 1:]), dims[f]
 
-    # -- field packing ------------------------------------------------------
-
-    def decode_wire(self, wire: Wire, value: int) -> list[int]:
-        out = [0] * len(wire.field_dims)
-        for i in range(len(wire.field_dims) - 1, -1, -1):
-            out[i] = value % wire.field_dims[i]
-            value //= wire.field_dims[i]
-        return out
-
-    def encode_wire(self, wire: Wire, fields: Sequence[int]) -> int:
-        value = 0
-        for v, d in zip(fields, wire.field_dims):
-            if not 0 <= v < d:
-                raise DimensionError(f"field value {v} out of range on wire {wire.id}")
-            value = value * d + v
-        return value
+    def register_dim(self, register: str) -> int:
+        return self.field(register)[2]
 
     def get_register(self, state: BasisState, register: str) -> int:
-        w, f = self.slots[register]
-        return self.decode_wire(self.wires[w], state.values[w])[f]
+        w, stride, dim = self.field(register)
+        return state.values[w] // stride % dim
 
     def set_registers(self, state: BasisState, updates: dict[str, int]) -> BasisState:
         values = list(state.values)
-        by_wire: dict[int, dict[int, int]] = {}
         for reg, val in updates.items():
-            w, f = self.slots[reg]
-            by_wire.setdefault(w, {})[f] = val
-        for w, fields in by_wire.items():
-            decoded = self.decode_wire(self.wires[w], values[w])
-            for f, val in fields.items():
-                decoded[f] = val
-            values[w] = self.encode_wire(self.wires[w], decoded)
+            w, stride, dim = self.field(reg)
+            if not 0 <= val < dim:
+                raise DimensionError(f"value {val} out of range for register {reg}")
+            values[w] += (val - values[w] // stride % dim) * stride
         return BasisState(tuple(values))
 
     def zero_state(self) -> BasisState:
@@ -194,37 +185,70 @@ class RegisterLayout:
         return self.set_registers(self.zero_state(), updates)
 
 
-@dataclass(frozen=True)
 class PermGate:
-    """A permutation of the joint basis of the wires in ``support``.
+    """A permutation of the joint basis of the wires in ``support``, stored
+    as a table over the fields it reads.
 
-    ``table[i] = j`` maps packed input index i to packed output index j,
-    mixed-radix over the support dims. The table must be a bijection, and
-    is made read-only so it stays one.
+    A field is a ``(wire, stride, dim)`` triple naming the digit
+    ``values[wire] // stride % dim``. ``field_table[i] = j`` maps the field
+    digits packed as i (mixed radix over ``fields`` in order) to those packed
+    as j; every other digit of the support wires rides along unchanged.
+    Without ``fields`` each support wire is one whole field, so ``table`` is
+    the wire-level table given. The table must be a bijection; it is kept
+    read-only, in the smallest unsigned dtype that holds it.
     """
 
-    support: tuple[int, ...]
-    dims: tuple[int, ...]
-    table: np.ndarray
-    label: str
+    __slots__ = ("support", "dims", "fields", "field_table", "label")
 
-    def __post_init__(self) -> None:
-        size = math.prod(self.dims)
-        if len(self.table) != size:
-            raise PermutationError(f"gate {self.label}: table size {len(self.table)} != {size}")
-        if not np.array_equal(np.sort(self.table), np.arange(size)):
-            raise PermutationError(f"gate {self.label}: table is not a bijection")
-        self.table.flags.writeable = False
+    def __init__(self, support, dims, table, label: str, fields=None) -> None:
+        self.support, self.dims, self.label = tuple(support), tuple(dims), label
+        if fields is None:
+            fields = [(w, 1, d) for w, d in zip(self.support, self.dims)]
+        self.fields = tuple(tuple(f) for f in fields)
+        table = np.asarray(table)
+        size = math.prod(d for _, _, d in self.fields)
+        if len(table) != size:
+            raise PermutationError(f"gate {label}: table size {len(table)} != {size}")
+        if not np.array_equal(np.sort(table), np.arange(size)):
+            raise PermutationError(f"gate {label}: table is not a bijection")
+        self.field_table = table.astype(np.min_scalar_type(size - 1))
+        self.field_table.flags.writeable = False
+
+    def __setattr__(self, name: str, value) -> None:
+        if hasattr(self, name):
+            raise AttributeError(f"gate attribute {name} is read-only")
+        object.__setattr__(self, name, value)
+
+    @property
+    def table(self) -> np.ndarray:
+        """The wire-level table: ``table[i] = j`` maps packed input index i to
+        packed output index j, mixed-radix over ``dims``. Computed on each
+        access and read-only."""
+        table = np.arange(math.prod(self.dims), dtype=np.int64)
+        place = {w: math.prod(self.dims[pos + 1:]) for pos, w in enumerate(self.support)}
+        steps = [(place[w] * stride, dim) for w, stride, dim in self.fields]
+        idx = 0
+        for step, dim in steps:
+            idx = idx * dim + table // step % dim
+        out = self.field_table[idx].astype(np.int64)
+        for step, dim in reversed(steps):
+            out, new = np.divmod(out, dim)
+            idx, old = np.divmod(idx, dim)
+            table += (new - old) * step
+        table.flags.writeable = False
+        return table
 
     def apply_values(self, values: list[int]) -> None:
         idx = 0
-        for w, d in zip(self.support, self.dims):
-            idx = idx * d + values[w]
-        out = int(self.table[idx])
-        for pos in range(len(self.support) - 1, -1, -1):
-            d = self.dims[pos]
-            values[self.support[pos]] = out % d
-            out //= d
+        for w, stride, dim in self.fields:
+            idx = idx * dim + values[w] // stride % dim
+        out = self.field_table.item(idx)
+        for w, stride, dim in reversed(self.fields):
+            if out == idx:
+                return
+            out, new = divmod(out, dim)
+            idx, old = divmod(idx, dim)
+            values[w] += (new - old) * stride
 
 
 @dataclass(frozen=True)
@@ -394,44 +418,59 @@ def complete_permutation(
     return perm
 
 
+def _register_table(
+    layout: RegisterLayout, registers: Sequence[str], fn: Callable, label: str
+) -> np.ndarray:
+    """``fn`` tabulated over every assignment of ``registers``, packed mixed
+    radix in the order given."""
+    dims = [layout.register_dim(r) for r in registers]
+    table = []
+    for values in itertools.product(*map(range, dims)):
+        env = dict(zip(registers, values))
+        changes = fn(dict(env)) or {}
+        stray = changes.keys() - env.keys()
+        if stray:
+            raise PermutationError(f"gate {label}: writes {sorted(stray)}, which it does not name")
+        env.update(changes)
+        out = 0
+        for r, d in zip(registers, dims):
+            if not 0 <= env[r] < d:
+                raise DimensionError(f"gate {label}: {r} = {env[r]} is out of range")
+            out = out * d + env[r]
+        table.append(out)
+    return np.array(table)
+
+
+def _gate_from_table(
+    layout: RegisterLayout, registers: Sequence[str], table: np.ndarray, label: str
+) -> PermGate:
+    """The gate for a permutation table over ``registers`` (packed in the
+    order given). A register that sits just below the one before it on the
+    same wire is read as one field with it."""
+    fields: list[tuple[int, int, int]] = []
+    for w, stride, dim in map(layout.field, registers):
+        if fields and fields[-1][:2] == (w, stride * dim):
+            fields[-1] = (w, stride, fields[-1][2] * dim)
+        else:
+            fields.append((w, stride, dim))
+    support = tuple(sorted({w for w, _, _ in fields}))
+    return PermGate(support, [layout.wires[w].dimension for w in support], table, label, fields)
+
+
 def lift_gate(
     layout: RegisterLayout,
     registers: Sequence[str],
     fn: Callable[[dict[str, int]], dict[str, int] | None],
     label: str,
 ) -> PermGate:
-    """Materialize a register-level map as a permutation gate on the wires
-    covering those registers.
+    """Materialize a register-level map as a permutation gate.
 
-    ``fn`` receives the values of every register living on the touched wires
-    and returns the changed ones (or None for identity). Registers that share
-    a wire with the targets ride along untouched.
+    ``fn`` is called once per assignment of ``registers``, with the values of
+    exactly those registers, and returns the changed ones (or None for
+    identity). Other registers sharing their wires ride along untouched.
     """
-    wire_ids = sorted({layout.slots[r][0] for r in registers})
-    touched = [layout.wires[w] for w in wire_ids]
-    dims = tuple(w.dimension for w in touched)
-    size = math.prod(dims)
-    table = np.empty(size, dtype=np.int64)
-    for packed in range(size):
-        rem = packed
-        wire_vals = [0] * len(touched)
-        for pos in range(len(touched) - 1, -1, -1):
-            wire_vals[pos] = rem % dims[pos]
-            rem //= dims[pos]
-        env: dict[str, int] = {}
-        for w, val in zip(touched, wire_vals):
-            for name, fval in zip(w.fields, layout.decode_wire(w, val)):
-                env[name] = fval
-        changes = fn(dict(env))
-        if changes:
-            env.update(changes)
-        out = 0
-        for pos, w in enumerate(touched):
-            out = out * dims[pos] + layout.encode_wire(
-                w, [env[name] for name in w.fields]
-            )
-        table[packed] = out
-    return PermGate(tuple(w.id for w in touched), dims, table, label)
+    table = _register_table(layout, registers, fn, label)
+    return _gate_from_table(layout, registers, table, label)
 
 
 # ---------------------------------------------------------------------------
@@ -466,23 +505,14 @@ def _rw_pair_map(spec: RtmSpec) -> dict[tuple, tuple]:
     return complete_permutation(universe, required)
 
 
-def _pair_fn(first: str, second: str, pair: dict[tuple, tuple]):
-    def fn(env: dict[str, int]) -> dict[str, int]:
-        x, y = pair[(env[first], env[second])]
-        return {first: x, second: y}
-
-    return fn
+def _pair_fn(first: str, second: str, pair: dict[tuple, tuple]) -> Callable:
+    return lambda env: dict(zip((first, second), pair[(env[first], env[second])]))
 
 
-def _wall_fn(cell: int) -> Callable[[dict[str, int]], dict[str, int] | None]:
+def _wall_fn(cell: int) -> Callable:
+    """Swap the accumulator with tape cell ``cell`` when the index points at it."""
     reg = tape_register(cell)
-
-    def fn(env: dict[str, int]) -> dict[str, int] | None:
-        if env[R_INDEX] != cell - 1:
-            return None
-        return {R_ACC: env[reg], reg: env[R_ACC]}
-
-    return fn
+    return lambda env: {R_ACC: env[reg], reg: env[R_ACC]} if env[R_INDEX] == cell - 1 else None
 
 
 def _step_maps(spec: RtmSpec) -> list[tuple[str, tuple[str, ...], Callable]]:
@@ -502,40 +532,16 @@ def _step_maps(spec: RtmSpec) -> list[tuple[str, tuple[str, ...], Callable]]:
     return [move] + wall("swap") + [rewrite] + wall("swap2")
 
 
-def _inverse_map(
-    layout: RegisterLayout, registers: Sequence[str], fn: Callable
-) -> Callable[[dict[str, int]], dict[str, int]]:
-    """Inverse of a register-level bijection, tabulated over every assignment
-    of the registers it reads."""
-    inverse: dict[tuple, tuple] = {}
-    domain = list(itertools.product(*(range(layout.register_dim(r)) for r in registers)))
-    for values in domain:
-        env = dict(zip(registers, values))
-        env.update(fn(dict(env)) or {})
-        inverse[tuple(env[r] for r in registers)] = values
-    if len(inverse) != len(domain):
-        raise PermutationError(f"map on {list(registers)} is not a bijection")
-
-    def fn_inv(env: dict[str, int]) -> dict[str, int]:
-        return dict(zip(registers, inverse[tuple(env[r] for r in registers)]))
-
-    return fn_inv
-
-
 def _lift_maps(layout: RegisterLayout, maps) -> list[PermGate]:
     return [lift_gate(layout, registers, fn, label) for label, registers, fn in maps]
 
 
-def build_moving_gate(
-    spec: RtmSpec, layout: RegisterLayout | None = None
-) -> PermGate:
+def build_moving_gate(spec: RtmSpec, layout: RegisterLayout | None = None) -> PermGate:
     """U's first gate: the move on (head, tape_index)."""
     return _lift_maps(layout or machine_layout(spec), _step_maps(spec)[:1])[0]
 
 
-def build_rw_gates(
-    spec: RtmSpec, layout: RegisterLayout | None = None
-) -> list[PermGate]:
+def build_rw_gates(spec: RtmSpec, layout: RegisterLayout | None = None) -> list[PermGate]:
     """The rest of U: swap wall, rewrite gate on (head, acc), mirror swap wall."""
     return _lift_maps(layout or machine_layout(spec), _step_maps(spec)[1:])
 
@@ -574,13 +580,15 @@ def build_step_circuit(spec: RtmSpec) -> Circuit:
 # ---------------------------------------------------------------------------
 # self-looping wrapper
 
-def _controlled(mode_value: int, fn):
-    def wrapped(env: dict[str, int]):
-        if env[R_MODE] != mode_value:
-            return None
-        return fn(env)
-
-    return wrapped
+def _controlled_gate(
+    layout: RegisterLayout, mode_value: int, label: str, registers: tuple, table: np.ndarray
+) -> PermGate:
+    """The gate on (mode, registers) that applies ``table`` in one mode and
+    the identity in the others."""
+    n = len(table)
+    full = np.arange(4 * n)
+    full[mode_value * n:(mode_value + 1) * n] = table + mode_value * n
+    return _gate_from_table(layout, (R_MODE, *registers), full, label)
 
 
 def nominal_cycle_length(m: int) -> int:
@@ -588,94 +596,82 @@ def nominal_cycle_length(m: int) -> int:
     return 2 * (2 ** (m + 1) - 1)
 
 
-def build_wrapper_circuit(spec: RtmSpec, merge_cells: bool = True) -> Circuit:
-    """The self-looping circuit V (see the module docstring for the mode
-    rules and gate ordering)."""
-    _guard_initial_state(spec)
-    layout = wrapper_layout(spec, merge_cells=merge_cells)
+def _bookkeeping_maps(spec: RtmSpec, layout: RegisterLayout) -> list[tuple[str, tuple, Callable]]:
+    """V's counters, answer copy and mode changes as ``(label, registers read, fn)``."""
     cmax = layout.counter_max
     csize = layout.counter_size
     final_idx = frozenset(layout.state_index[s] for s in layout.final_states)
     accept = layout.symbol_index.get(ACCEPT_SYMBOL)
     rc_reg = tape_register(spec.result_cell)
 
-    # the payload is U itself: its maps controlled on run, then U^-1 (each
-    # map inverted, in reverse order) controlled on unwind-run
-    maps = _step_maps(spec)
-    gates = [
-        lift_gate(layout, (R_MODE, *registers), _controlled(MODE_RUN, fn), f"run:{label}")
-        for label, registers, fn in maps
-    ]
-    gates += [
-        lift_gate(
-            layout,
-            (R_MODE, *registers),
-            _controlled(MODE_UNRUN, _inverse_map(layout, registers, fn)),
-            f"unrun:{label}",
-        )
-        for label, registers, fn in reversed(maps)
-    ]
-
     # counter: up in run/pad, down in unwind modes
     def counter_fn(env):
-        c = env[R_COUNTER]
-        if env[R_MODE] in (MODE_RUN, MODE_PAD):
-            return {R_COUNTER: (c + 1) % csize}
-        return {R_COUNTER: (c - 1) % csize}
-
-    gates.append(lift_gate(layout, [R_MODE, R_COUNTER], counter_fn, "counter"))
+        step = 1 if env[R_MODE] in (MODE_RUN, MODE_PAD) else -1
+        return {R_COUNTER: (env[R_COUNTER] + step) % csize}
 
     # idle counter: up in pad, down in unwind-pad, held elsewhere. The
     # unwind-run mode must hold it (not decrement) or the next pass would
     # start with a nonzero idle counter and never leave run mode.
     def idle_fn(env):
-        ic = env[R_IDLE]
-        if env[R_MODE] == MODE_PAD:
-            return {R_IDLE: (ic + 1) % csize}
-        if env[R_MODE] == MODE_UNPAD:
-            return {R_IDLE: (ic - 1) % csize}
-        return None
-
-    gates.append(lift_gate(layout, [R_MODE, R_IDLE], idle_fn, "idle"))
+        step = {MODE_PAD: 1, MODE_UNPAD: -1}.get(env[R_MODE], 0)
+        return {R_IDLE: (env[R_IDLE] + step) % csize}
 
     # copy the answer: flip solution once per pass
     def solution_fn(env):
-        if (
-            env[R_MODE] == MODE_PAD
-            and env[R_COUNTER] == cmax
-            and accept is not None
-            and env[rc_reg] == accept
-        ):
-            return {R_SOLUTION: env[R_SOLUTION] ^ 1}
-        return None
-
-    gates.append(
-        lift_gate(layout, [R_MODE, R_COUNTER, rc_reg, R_SOLUTION], solution_fn, "answer")
-    )
+        flip = env[R_MODE] == MODE_PAD and env[R_COUNTER] == cmax and env[rc_reg] == accept
+        return {R_SOLUTION: env[R_SOLUTION] ^ flip}
 
     # mode changes as controlled swaps; this order lets a pass close even
     # when the initial state is already final
     def swap_modes(a, b, cond):
-        def fn(env):
-            if env[R_MODE] == a and cond(env):
-                return {R_MODE: b}
-            if env[R_MODE] == b and cond(env):
-                return {R_MODE: a}
-            return None
-
-        return fn
+        swap = {a: b, b: a}
+        return lambda env: {R_MODE: swap.get(env[R_MODE], env[R_MODE])} if cond(env) else None
 
     halted = lambda env: env[R_IDLE] == 0 and env[R_HEAD] in final_idx  # noqa: E731
     at_top = lambda env: env[R_COUNTER] == cmax  # noqa: E731
     at_zero = lambda env: env[R_COUNTER] == 0  # noqa: E731
-    for a, b, registers, cond, label in (
-        (MODE_RUN, MODE_PAD, (R_MODE, R_IDLE, R_HEAD), halted, "mode:run<->pad"),
-        (MODE_PAD, MODE_UNPAD, (R_MODE, R_COUNTER), at_top, "mode:pad<->unpad"),
-        (MODE_UNRUN, MODE_RUN, (R_MODE, R_COUNTER), at_zero, "mode:unrun<->run"),
-        (MODE_UNPAD, MODE_UNRUN, (R_MODE, R_IDLE, R_HEAD), halted, "mode:unpad<->unrun"),
-    ):
-        gates.append(lift_gate(layout, registers, swap_modes(a, b, cond), label))
+    return [
+        ("counter", (R_MODE, R_COUNTER), counter_fn),
+        ("idle", (R_MODE, R_IDLE), idle_fn),
+        ("answer", (R_MODE, R_COUNTER, rc_reg, R_SOLUTION), solution_fn),
+    ] + [
+        (label, registers, swap_modes(a, b, cond))
+        for a, b, registers, cond, label in (
+            (MODE_RUN, MODE_PAD, (R_MODE, R_IDLE, R_HEAD), halted, "mode:run<->pad"),
+            (MODE_PAD, MODE_UNPAD, (R_MODE, R_COUNTER), at_top, "mode:pad<->unpad"),
+            (MODE_UNRUN, MODE_RUN, (R_MODE, R_COUNTER), at_zero, "mode:unrun<->run"),
+            (MODE_UNPAD, MODE_UNRUN, (R_MODE, R_IDLE, R_HEAD), halted, "mode:unpad<->unrun"),
+        )
+    ]
 
+
+def build_wrapper_circuit(spec: RtmSpec, merge_cells: bool = True) -> Circuit:
+    """The self-looping circuit V (see the module docstring for the mode
+    rules and gate ordering). Raises ``BudgetExceededError`` before lifting
+    when its register-level tables would exceed ``MAX_GATE_ENTRIES``."""
+    _guard_initial_state(spec)
+    layout = wrapper_layout(spec, merge_cells=merge_cells)
+    maps = _step_maps(spec)
+    bookkeeping = _bookkeeping_maps(spec, layout)
+    read = [(R_MODE, *regs) for _, regs, _ in maps] * 2 + [regs for _, regs, _ in bookkeeping]
+    entries = sum(math.prod(map(layout.register_dim, regs)) for regs in read)
+    if entries > MAX_GATE_ENTRIES:
+        raise BudgetExceededError(
+            f"wrapper circuit needs {entries} gate-table entries, "
+            f"over the compile cap {MAX_GATE_ENTRIES}"
+        )
+
+    # the payload is U itself: its maps controlled on run, then U^-1 (each
+    # map's table inverted, in reverse order) controlled on unwind-run
+    tables = [(label, regs, _register_table(layout, regs, fn, label)) for label, regs, fn in maps]
+    gates = [
+        _controlled_gate(layout, MODE_RUN, f"run:{label}", regs, t) for label, regs, t in tables
+    ]
+    gates += [
+        _controlled_gate(layout, MODE_UNRUN, f"unrun:{label}", regs, np.argsort(t))
+        for label, regs, t in reversed(tables)
+    ]
+    gates += [lift_gate(layout, regs, fn, label) for label, regs, fn in bookkeeping]
     return Circuit(layout=layout, gates=tuple(gates))
 
 
@@ -703,7 +699,14 @@ DUMP_FORMAT = "clockobs-circuit/1"
 
 
 def dump_circuit(circuit: Circuit) -> dict:
-    """JSON-ready dump with deterministic ordering, for inspection and replay."""
+    """JSON-ready dump with deterministic ordering, for inspection and replay.
+    Raises ``BudgetExceededError`` before building it when the wire-level
+    tables would exceed ``MAX_DUMP_ENTRIES``."""
+    entries = sum(math.prod(g.dims) for g in circuit.gates)
+    if entries > MAX_DUMP_ENTRIES:
+        raise BudgetExceededError(
+            f"dump would hold {entries} gate-table entries, over the cap {MAX_DUMP_ENTRIES}"
+        )
     lay = circuit.layout
     return {
         "format": DUMP_FORMAT,
@@ -736,7 +739,7 @@ def dump_circuit(circuit: Circuit) -> dict:
                 "label": g.label,
                 "support": list(g.support),
                 "dims": list(g.dims),
-                "table": [int(x) for x in g.table],
+                "table": g.table.tolist(),
             }
             for g in circuit.gates
         ],
@@ -754,6 +757,5 @@ def replay_dump(dump: dict, values: Sequence[int]) -> tuple[int, ...]:
         raise DimensionError(f"unknown dump format {dump.get('format')!r}")
     vals = list(values)
     for g in dump["gates"]:
-        table = np.asarray(g["table"], dtype=np.int64)
-        PermGate(tuple(g["support"]), tuple(g["dims"]), table, g["label"]).apply_values(vals)
+        PermGate(g["support"], g["dims"], np.asarray(g["table"]), g["label"]).apply_values(vals)
     return tuple(vals)

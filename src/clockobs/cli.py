@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -64,16 +65,17 @@ def _clocked(args) -> tuple[rtm.RtmSpec, harness.ClockedCircuit]:
 
 def _cmd_orbit(args) -> int:
     spec, clocked = _clocked(args)
-    circuit, locality = clocked.circuit, clocked.locality
-    r_obs = circuits.circuit_orbit_length(circuit, clocked.orbit.initial.circuit_state)
+    circuit, locality, d_obs = clocked.circuit, clocked.locality, clocked.orbit.dimension
+    # the clock visits every gate once per application of the circuit
+    assert d_obs % circuit.s == 0, "a clock orbit is whole passes over the gates"
     _emit(
         {
             "machine": spec.name,
             "m": circuit.layout.m,
             "gate_count": circuit.s,
             "r_nominal": clocked.r_nominal,
-            "r_observed": r_obs,
-            "d_observed": clocked.orbit.dimension,
+            "r_observed": d_obs // circuit.s,
+            "d_observed": d_obs,
             "locality": {
                 "max_support": locality.max_support,
                 "term_supports": list(locality.term_supports),
@@ -123,12 +125,7 @@ def _cmd_decide(args) -> int:
                 "failure_mode": acc.failure_mode,
             },
             "grid": {"r": batch.r, "s": batch.s},
-            "verdict": decision.verdict,
-            "odd_fraction": decision.odd_fraction,
-            "filtered_count": decision.filtered_count,
-            "threshold": decision.threshold,
-            "confidence_bound": decision.confidence_bound,
-            "inconclusive": decision.inconclusive,
+            **asdict(decision),
         },
         args.out,
     )
@@ -168,15 +165,10 @@ def _cmd_phase_estimate(args) -> int:
 def _cmd_experiment(args) -> int:
     if args.config:
         config = harness.ExperimentConfig.from_json_file(args.config)
-        overrides = {}
         if args.seed is not None:
-            overrides["seed"] = args.seed
+            config = replace(config, seed=args.seed)
         if args.out:
-            overrides["out_dir"] = args.out
-        if overrides:
-            from dataclasses import replace
-
-            config = replace(config, **overrides)
+            config = replace(config, out_dir=args.out)
     else:
         config = harness.ExperimentConfig(
             spec_path=args.spec,
@@ -273,7 +265,7 @@ def cli_dispatch(argv=None) -> int:
         sys.stderr.write(f"[parse] {exc}\n")
         return EXIT_VALIDATION
     except BudgetExceededError as exc:
-        sys.stderr.write(f"[orbit] {exc}\n")
+        sys.stderr.write(f"[budget] {exc}\n")
         return EXIT_BUDGET
     except StageError as exc:
         sys.stderr.write(f"{exc}\n")

@@ -31,6 +31,9 @@ from .circuits import BasisState, Circuit
 from .errors import BudgetExceededError, DimensionError
 
 DENSE_ORACLE_CAP = 4096
+# Largest cycle ``spectral_model`` tabulates, about ten times flip3's d = 94,116
+# (its d/2 + 1 exact lines take about 3 s and 160 MB at the cap on a 2-vCPU Xeon).
+MAX_SPECTRUM_DIM = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,8 @@ def spectral_model(d: int) -> SpectralModel:
     symmetrized d-cycle, as seen from the equal-weight starting vector."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
+    if d > MAX_SPECTRUM_DIM:
+        raise BudgetExceededError(f"dimension {d} exceeds the spectrum cap {MAX_SPECTRUM_DIM}")
     lines = []
     for j in range(d // 2 + 1):
         simple = j == 0 or (d % 2 == 0 and j == d // 2)

@@ -39,6 +39,12 @@ class ExperimentConfig:
     max_run_steps: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.merge_cells, bool):
+            raise ValueError(f"merge_cells must be true or false, got {self.merge_cells!r}")
+        for name in ("samples_per_batch", "batch_count", "seed", "max_run_steps"):
+            value = getattr(self, name)
+            if type(value) is not int and not (value is None and name == "max_run_steps"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.samples_per_batch < 1:
             raise ValueError("samples_per_batch must be >= 1")
         if self.batch_count < 1:
@@ -78,21 +84,9 @@ class ExperimentReport:
     timing_seconds: float  # excluded from the serialized report
 
     def to_json_dict(self) -> dict[str, Any]:
-        out = {
-            "machine": self.machine,
-            "r_nominal": self.r_nominal,
-            "d_observed": self.d_observed,
-            "f_ground_truth": self.f_ground_truth,
-            "decision": asdict(self.decision),
-            "spectral_summary": self.spectral_summary,
-            "locality_max_support": self.locality_max_support,
-            "agreement": self.agreement,
-            "accuracy": self.accuracy,
-            "accuracy_coarser_than_grid": self.accuracy_coarser_than_grid,
-            "seed": self.seed,
-            "config": self.config,
-            "tool_version": _version(),
-        }
+        out = asdict(self)
+        del out["timing_seconds"]
+        out["tool_version"] = _version()
         return out
 
     def to_json(self) -> str:
@@ -242,14 +236,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         accuracy=accuracy,
         accuracy_coarser_than_grid=accuracy > 1.0 / (grid_r * grid_s) + 1e-15,
         seed=config.seed,
-        config={
+        config={  # as given, less the output directory and the run budget
+            **{k: v for k, v in asdict(config).items() if k not in ("out_dir", "max_run_steps")},
             "spec_path": str(config.spec_path),
-            "input_word": config.input_word,
-            "accuracy": config.accuracy,
-            "samples_per_batch": config.samples_per_batch,
-            "batch_count": config.batch_count,
-            "seed": config.seed,
-            "merge_cells": config.merge_cells,
         },
         timing_seconds=elapsed,
     )

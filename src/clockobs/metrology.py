@@ -154,14 +154,8 @@ def decide(batch: SampleBatch, r: int, s: int) -> DecisionResult:
     """Filter, round, and threshold the odd fraction of the grid indices."""
     if not batch.values:
         raise ValueError("batch is empty")
-    odd = 0
-    kept = 0
-    for value in batch.values:
-        fr = filter_round(value, r, s)
-        if fr is None:
-            continue
-        kept += 1
-        odd += fr[1]
+    parities = [fr[1] for fr in (filter_round(v, r, s) for v in batch.values) if fr is not None]
+    kept, odd = len(parities), sum(parities)
     odd_fraction = odd / kept if kept else 0.0
     verdict = int(odd_fraction > DECISION_THRESHOLD)
     return DecisionResult(
@@ -178,10 +172,7 @@ def batch_rows(batch: SampleBatch, r: int, s: int):
     """Rows (trial, raw_value, filtered, j, parity) for CSV dumps."""
     for trial, value in enumerate(batch.values):
         fr = filter_round(value, r, s)
-        if fr is None:
-            yield trial, value, False, None, None
-        else:
-            yield trial, value, True, fr[0], fr[1]
+        yield (trial, value, False, None, None) if fr is None else (trial, value, True, *fr)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from enum import Enum
 from itertools import product
 from typing import Iterable, Sequence, Union
 
-from .errors import MachineStepError, SpecParseError
+from .errors import BudgetExceededError, MachineStepError, SpecParseError
 
 ACCEPT_SYMBOL = "1"
 
@@ -106,11 +106,10 @@ class RtmSpec:
         self.rw_rules = rw
 
     def _check_transition(self, t: Transition) -> None:
-        symbols = set(self.alphabet)
+        for s in (t.source, t.target):
+            if s not in self.states:
+                raise SpecParseError(f"unknown state {s!r} in transition")
         if isinstance(t, MovingRule):
-            for s in (t.source, t.target):
-                if s not in self.states:
-                    raise SpecParseError(f"unknown state {s!r} in transition")
             kind = self.states[t.source]
             if t.direction == +1 and kind is not StateKind.MOVE_RIGHT:
                 raise SpecParseError(
@@ -123,15 +122,12 @@ class RtmSpec:
             if t.direction not in (+1, -1):
                 raise SpecParseError(f"bad direction {t.direction} in transition")
         else:
-            for s in (t.source, t.target):
-                if s not in self.states:
-                    raise SpecParseError(f"unknown state {s!r} in transition")
             if self.states[t.source] is not StateKind.READ_WRITE:
                 raise SpecParseError(
                     f"state {t.source!r} is {self.states[t.source].value}, "
                     "cannot take a read-write transition"
                 )
-            if t.read not in symbols or t.write not in symbols:
+            if not {t.read, t.write} <= set(self.alphabet):
                 raise SpecParseError(
                     f"unknown symbol in transition ({t.source!r},{t.read!r})"
                     f" -> ({t.target!r},{t.write!r})"
@@ -376,7 +372,7 @@ def check_reversibility(spec: RtmSpec, max_reported: int = 20) -> ReversibilityR
     """
     size = config_space_size(spec)
     if size > MAX_SWEEP_CONFIGS:
-        raise MachineStepError(
+        raise BudgetExceededError(
             f"configuration space of size {size} exceeds the sweep cap {MAX_SWEEP_CONFIGS}"
         )
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from clockobs import corpus, rtm
+from clockobs import circuits, corpus, rtm
 from clockobs.circuits import (
     MODE_PAD,
     MODE_RUN,
@@ -28,6 +28,7 @@ from clockobs.circuits import (
     complete_permutation,
     dump_circuit,
     dump_circuit_json,
+    lift_gate,
     machine_layout,
     nominal_cycle_length,
     replay_dump,
@@ -97,6 +98,68 @@ def test_perm_gate_table_is_read_only():
     gate = PermGate(support=(0,), dims=(2,), table=np.array([1, 0]), label="not")
     with pytest.raises(ValueError):
         gate.table[0] = 0
+
+
+def test_lifted_gate_tables_are_read_only():
+    gate = build_wrapper_circuit(corpus.load("flip")).gates[0]
+    with pytest.raises(AttributeError):
+        gate.table = np.arange(len(gate.table))
+    with pytest.raises(ValueError):
+        gate.table[0] = 1
+    with pytest.raises(ValueError):
+        gate.field_table[0] = 1
+    with pytest.raises(AttributeError):
+        gate.field_table = np.arange(len(gate.field_table))
+
+
+def test_lift_gate_passes_fn_only_the_registers_it_names():
+    layout = wrapper_layout(corpus.load("flipwalk"))  # mode shares the core wire with head etc.
+    seen = set()
+
+    def fn(env):
+        seen.add(frozenset(env))
+        return None
+
+    lift_gate(layout, [R_MODE, R_COUNTER], fn, "peek")
+    assert seen == {frozenset({R_MODE, R_COUNTER})}
+
+
+def test_lift_gate_rejects_writes_to_unnamed_registers():
+    layout = wrapper_layout(corpus.load("flip"))
+    with pytest.raises(PermutationError, match="does not name"):
+        lift_gate(layout, [R_MODE], lambda env: {R_HEAD: 0}, "stray")
+
+
+def test_lifted_gate_rides_along_registers_it_does_not_read():
+    layout = wrapper_layout(corpus.load("flip"))
+    gate = lift_gate(layout, [R_MODE], lambda env: {R_MODE: (env[R_MODE] + 1) % 4}, "next")
+    state = layout.set_registers(layout.zero_state(), {R_HEAD: 1, R_SOLUTION: 1, R_MODE: 3})
+    values = list(state.values)
+    gate.apply_values(values)
+    assert BasisState(tuple(values)) == layout.set_registers(state, {R_MODE: 0})
+
+
+def test_merged_flipwalk_stores_a_small_fraction_of_its_wire_tables():
+    circuit = build_wrapper_circuit(corpus.load("flipwalk"))
+    wire_entries = sum(len(g.table) for g in circuit.gates)
+    stored = sum(len(g.field_table) for g in circuit.gates)
+    assert wire_entries == 578_560
+    assert stored <= 0.05 * wire_entries
+    assert all(g.field_table.dtype.kind == "u" for g in circuit.gates)
+
+
+def test_wrapper_over_the_compile_cap_fails_before_lifting(monkeypatch):
+    monkeypatch.setattr(circuits, "MAX_GATE_ENTRIES", 879)
+    monkeypatch.setattr(circuits, "_register_table", None)  # lifting would fail
+    with pytest.raises(BudgetExceededError, match="needs 880 gate-table entries"):
+        build_wrapper_circuit(corpus.load("flip"))
+
+
+def test_dump_over_its_cap_fails_before_building(monkeypatch):
+    circuit = build_wrapper_circuit(corpus.load("flip"))
+    monkeypatch.setattr(circuits, "MAX_DUMP_ENTRIES", 1000)
+    with pytest.raises(BudgetExceededError, match="7680 gate-table entries"):
+        dump_circuit(circuit)
 
 
 def test_moving_gate_with_no_movers_is_identity():
@@ -315,8 +378,6 @@ def test_apply_single_swap_gate():
 
     def swap(env):
         return {tape_register(1): env[tape_register(2)], tape_register(2): env[tape_register(1)]}
-
-    from clockobs.circuits import lift_gate
 
     gate = lift_gate(layout, [tape_register(1), tape_register(2)], swap, "swap12")
     circuit = Circuit(layout=layout, gates=(gate,))

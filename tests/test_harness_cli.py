@@ -5,7 +5,9 @@ import sys
 import pytest
 
 from clockobs import corpus
+from clockobs.circuits import build_wrapper_circuit, circuit_orbit_length
 from clockobs.cli import (
+    EXIT_BUDGET,
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
@@ -332,6 +334,11 @@ BAD_CONFIGS = {
     "unknown-key": {"spec_path": FLIP, "input_word": "0", "bogus": 1},
     "bool-accuracy": {"spec_path": FLIP, "input_word": "0", "accuracy": True},
     "missing-key": {"spec_path": FLIP},
+    "string-merge-cells": {"spec_path": FLIP, "input_word": "0", "merge_cells": "no"},
+    "bool-samples": {"spec_path": FLIP, "input_word": "0", "samples_per_batch": True},
+    "float-batches": {"spec_path": FLIP, "input_word": "0", "batch_count": 2.0},
+    "string-seed": {"spec_path": FLIP, "input_word": "0", "seed": "1"},
+    "float-max-run-steps": {"spec_path": FLIP, "input_word": "0", "max_run_steps": 1.5},
 }
 
 
@@ -348,6 +355,7 @@ BAD_CONFIGS = {
         ["experiment", "--config", "unknown-key"],
         ["experiment", "--config", "bool-accuracy"],
         ["experiment", "--config", "missing-key"],
+        *(["experiment", "--config", key] for key in list(BAD_CONFIGS)[3:]),
     ],
     ids=lambda argv: "-".join(a for a in argv if a != FLIP),
 )
@@ -360,3 +368,41 @@ def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,cap",
+    [
+        (["compile", FLIP], ("circuits", "MAX_GATE_ENTRIES", 100)),
+        (["compile", FLIP], ("circuits", "MAX_DUMP_ENTRIES", 1000)),
+        (["spectrum", "--d", "100000000"], None),
+        (["validate", "WIDE"], None),
+    ],
+    ids=["compile-gate-cap", "compile-dump-cap", "spectrum-huge-d", "validate-sweep-cap"],
+)
+def test_cli_over_budget_exits_3_with_one_line(argv, cap, monkeypatch, tmp_path, capsys):
+    if cap:
+        module, name, value = cap
+        monkeypatch.setattr(f"clockobs.{module}.{name}", value)
+    if argv[-1] == "WIDE":  # 2 * 24 * 2**24 configurations
+        wide = tmp_path / "wide.rtm"
+        wide.write_text(
+            "states: p:rw h:final\nalphabet: 0 1\ninitial: p\ntape_cells: 24\n"
+            "transition: rw (p,0) -> (h,1)\ntransition: rw (p,1) -> (h,0)\n",
+            encoding="utf-8",
+        )
+        argv = argv[:-1] + [str(wide)]
+    assert cli_dispatch(argv) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("word", ["0", "1"])
+def test_cli_orbit_r_matches_a_walk_of_the_circuit(word, capsys):
+    spec = corpus.load("flip")
+    assert cli_dispatch(["orbit", FLIP, "--input", word]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    circuit = build_wrapper_circuit(spec)
+    assert out["r_observed"] == circuit_orbit_length(circuit, circuit.layout.initial_basis_state(word))

@@ -1,10 +1,10 @@
 """Byte-level pins of outputs that refactors must not change.
 
 The digests were captured from an implementation that derived the wrapper's
-payload separately from the step circuit and ran its own pipeline in ``cli``,
-so they also show that building V from U's maps, and sharing the harness
-stages, changed no output. The merged flipwalk dump (``0958d962...1df8e1``)
-takes seconds to compile, so it is checked by hand rather than here.
+payload separately from the step circuit, ran its own pipeline in ``cli``
+and stored every gate as a wire-level table, so they also show that building
+V from U's maps, sharing the harness stages and storing each gate as a table
+over the registers it reads changed no output.
 """
 
 import contextlib
@@ -31,6 +31,7 @@ WRAPPER_DUMPS = {
     ("flip", False): "a517b80b9e36dc78180ef8911f205ece236bb5a8e9d2b0e3112b740226adb4ea",
     ("rot3", True): "d60e49ecf7ef93cfdbae07c76a5316a3440d57b354f40f31b062d8f5978d8b1f",
     ("rot3", False): "cf9b47ea40e954c4c7a39231238eed2ef9684915bb9be96b876933267e8b7961",
+    ("flipwalk", True): "0958d9627ad9e4800270d945cc0be673b26c4a5d41954e7659723097231df8e1",
     ("flipwalk", False): "bcac7b386fd193c1a5e2d5cc363b16aaac435525081a6e501a523b25abda2e6a",
 }
 
