@@ -55,7 +55,6 @@ from .metrology import (
     phase_estimate_distribution,
     sample_exact,
     sample_phase_estimate,
-    sample_with_accuracy,
 )
 from .rtm import (
     MachineConfig,

@@ -95,12 +95,6 @@ class BasisState:
 
     values: tuple[int, ...]
 
-    def packed_index(self, dims: Sequence[int]) -> int:
-        idx = 0
-        for v, d in zip(self.values, dims):
-            idx = idx * d + v
-        return idx
-
 
 @dataclass(frozen=True)
 class RegisterLayout:

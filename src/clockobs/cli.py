@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,8 +66,6 @@ def _clocked(args) -> tuple[rtm.RtmSpec, harness.ClockedCircuit]:
 def _cmd_orbit(args) -> int:
     spec, clocked = _clocked(args)
     circuit, locality, d_obs = clocked.circuit, clocked.locality, clocked.orbit.dimension
-    # the clock visits every gate once per application of the circuit
-    assert d_obs % circuit.s == 0, "a clock orbit is whole passes over the gates"
     _emit(
         {
             "machine": spec.name,
@@ -165,25 +163,40 @@ def _cmd_phase_estimate(args) -> int:
 def _cmd_experiment(args) -> int:
     if args.config:
         config = harness.ExperimentConfig.from_json_file(args.config)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-        if args.out:
-            config = replace(config, out_dir=args.out)
+    elif args.spec_path:
+        config = harness.ExperimentConfig(args.spec_path, args.input_word or "")
     else:
-        config = harness.ExperimentConfig(
-            spec_path=args.spec,
-            input_word=args.input,
-            accuracy="auto" if args.accuracy == "auto" else float(args.accuracy),
-            samples_per_batch=args.samples,
-            batch_count=args.batches,
-            seed=args.seed if args.seed is not None else 0,
-            out_dir=args.out,
-            merge_cells=not args.no_merge_cells,
-        )
+        raise ValueError("experiment needs --config or --spec")
+    # every option given overrides; each is stored under its config field's name
+    given = {f.name: getattr(args, f.name, None) for f in fields(config)}
+    config = replace(config, **{k: v for k, v in given.items() if v is not None})
     report = harness.run_experiment(config)
     sys.stdout.write(report.to_json())
     sys.stderr.write(f"elapsed: {report.timing_seconds:.3f}s\n")
     return EXIT_OK
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for seeds and sample counts."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _accuracy(text: str) -> float | str:
+    """argparse type for experiment's --accuracy: 'auto' or a number."""
+    try:
+        return text if text == harness.AUTO_ACCURACY else float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number or 'auto', got {text!r}") from None
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: a bad or missing option is a validation
+    failure, which ``cli_dispatch`` reports in one line with exit code 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Compile reversible machines into self-looping circuits and "
         "decide their output from accuracy-limited clock-observable measurements.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     def add_common(p, needs_input=False):
         p.add_argument("spec", help="machine spec file (.rtm)")
@@ -221,45 +234,42 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw accuracy-limited measurement outcomes")
     add_common(p, needs_input=True)
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--accuracy", default="auto", help="float or 'auto' (=1/(r*s))")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("decide", help="sample and run the parity decision")
     add_common(p, needs_input=True)
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--accuracy", default="auto")
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("phase-estimate", help="exact ancilla readout distribution")
     p.add_argument("--phi", required=True, help="eigenphase in [0,1), fractions allowed")
     p.add_argument("--m", type=int, required=True, help="ancilla count")
-    p.add_argument("--samples", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_non_negative_int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_phase_estimate)
 
-    p = sub.add_parser("experiment", help="full pipeline with a JSON report")
+    p = sub.add_parser("experiment", help="full pipeline; options override --config")
     p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--spec", default=None)
-    p.add_argument("--input", default="")
-    p.add_argument("--accuracy", default="auto")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--batches", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--no-merge-cells", action="store_true")
-    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--spec", dest="spec_path")
+    p.add_argument("--input", dest="input_word")
+    p.add_argument("--accuracy", type=_accuracy)
+    p.add_argument("--samples", dest="samples_per_batch", type=int)
+    p.add_argument("--batches", dest="batch_count", type=int)
+    p.add_argument("--seed", type=_non_negative_int)
+    p.add_argument("--no-merge-cells", dest="merge_cells", action="store_false", default=None)
+    p.add_argument("--out", dest="out_dir", help="output directory")
     p.set_defaults(func=_cmd_experiment)
     return parser
 
 
 def cli_dispatch(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "experiment" and not args.config and not args.spec:
-        parser.error("experiment needs --config or --spec")
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SpecParseError as exc:
         sys.stderr.write(f"[parse] {exc}\n")

@@ -5,7 +5,10 @@ two-level wires. The forward operator applies the gate selected by the clock
 and advances the excitation one position (wrapping s -> 1). Because every
 gate permutes basis states, the forward operator permutes (basis state,
 clock position) pairs, and the orbit of any initial pair is a cycle of some
-length d on which the operator acts as a cyclic shift.
+length d on which the operator acts as a cyclic shift. The clock is back at
+its start only after whole passes over the gates, so d is s times the orbit
+length of the circuit (rotated to start at the clock's gate) through the
+initial basis state; ``compute_orbit`` walks whole passes to find it.
 
 The observable of interest is the symmetrized operator (forward + backward)/2.
 Restricted to a d-cycle its eigenvalues are cos(2*pi*j/d); each non-real
@@ -23,11 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
-from .circuits import BasisState, Circuit
+from .circuits import BasisState, Circuit, circuit_orbit_length
 from .errors import BudgetExceededError, DimensionError
 
 DENSE_ORACLE_CAP = 4096
@@ -77,41 +79,30 @@ def apply_forward(op: ForwardOperator, state: ClockedState) -> ClockedState:
 @dataclass(frozen=True)
 class Orbit:
     """The cycle of the forward operator through ``initial``; ``dimension``
-    is the cycle length d. Iterating yields the d states in order."""
+    is the cycle length d."""
 
     operator: ForwardOperator
     initial: ClockedState
     dimension: int
 
-    def __iter__(self) -> Iterator[ClockedState]:
-        state = self.initial
-        for _ in range(self.dimension):
-            yield state
-            state = apply_forward(self.operator, state)
-
-    def __len__(self) -> int:
-        return self.dimension
-
 
 def compute_orbit(
     op: ForwardOperator, initial: ClockedState, max_steps: int | None = None
 ) -> Orbit:
-    """Traverse until the initial pair recurs.
+    """The cycle through ``initial``, found a whole pass at a time.
 
-    Every gate table is a read-only bijection, so the forward operator
-    permutes (state, clock) pairs and its first recurrence is the start
-    itself; no visited set is needed. A map that is not a permutation would
-    run into ``max_steps`` instead.
+    The clock returns to its start only after a multiple of s forward
+    steps, and s steps apply every gate once, from the gate under the clock
+    round to the one before it. So d is s times the orbit length of the
+    circuit rotated to start at that gate. ``max_steps`` bounds the forward
+    steps, counted in whole passes; without it ``circuit_orbit_length``'s
+    pass budget applies.
     """
     _check_clock(op, initial)
-    if max_steps is None:
-        max_steps = 32 * op.s * op.circuit.layout.counter_size + op.s + 16
-    state = initial
-    for step in range(1, max_steps + 1):
-        state = apply_forward(op, state)
-        if state == initial:
-            return Orbit(op, initial, step)
-    raise BudgetExceededError(f"no recurrence within {max_steps} forward steps")
+    c, s = initial.clock_pos - 1, op.s
+    rotated = Circuit(op.circuit.layout, op.circuit.gates[c:] + op.circuit.gates[:c])
+    passes = None if max_steps is None else max_steps // s
+    return Orbit(op, initial, s * circuit_orbit_length(rotated, initial.circuit_state, passes))
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +120,6 @@ class SpectralLine:
 class SpectralModel:
     dimension: int
     lines: tuple[SpectralLine, ...]
-
-    def probabilities(self) -> list[Fraction]:
-        return [line.probability for line in self.lines]
 
     def expanded_eigenvalues(self) -> np.ndarray:
         """All d eigenvalues with multiplicity, ascending."""

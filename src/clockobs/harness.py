@@ -49,6 +49,8 @@ class ExperimentConfig:
             raise ValueError("samples_per_batch must be >= 1")
         if self.batch_count < 1:
             raise ValueError("batch_count must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if isinstance(self.accuracy, str) and self.accuracy != AUTO_ACCURACY:
             raise ValueError(f"accuracy must be a positive number or 'auto', got {self.accuracy!r}")
         resolve_accuracy(self.accuracy, 1, 1)

@@ -105,12 +105,6 @@ def draw_measurement(
     return min(hi, max(lo, true + sign * 2.0 * acc.delta)), true
 
 
-def sample_with_accuracy(acc: AccuracyModel, model: SpectralModel, seed) -> float:
-    """Accuracy-limited measurement outcome for a state on the d-cycle."""
-    outcome, _ = draw_measurement(acc, model, _as_rng(seed))
-    return outcome
-
-
 def draw_batch(
     acc: AccuracyModel, model: SpectralModel, n: int, seed: int, r: int, s: int
 ) -> SampleBatch:

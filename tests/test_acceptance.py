@@ -131,7 +131,7 @@ def test_criterion_4_spectrum_against_oracle():
         assert np.allclose(
             model.expanded_eigenvalues(), dense_orbit_oracle(d), atol=1e-9
         ), d
-        assert sum(model.probabilities()) == Fraction(1)
+        assert sum(line.probability for line in model.lines) == Fraction(1)
         for line in model.lines:
             simple = line.index == 0 or (d % 2 == 0 and line.index == d // 2)
             assert line.probability == Fraction(1 if simple else 2, d)

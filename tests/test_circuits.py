@@ -367,11 +367,6 @@ def test_apply_empty_circuit_is_identity():
     assert apply_circuit(circuit, state) == state
 
 
-def test_basis_state_packed_index_is_mixed_radix():
-    state = BasisState((1, 0, 2))
-    assert state.packed_index((2, 3, 4)) == 1 * 12 + 0 * 4 + 2
-
-
 def test_apply_single_swap_gate():
     spec = corpus.load("flipwalk")
     layout = machine_layout(spec)

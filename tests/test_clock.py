@@ -81,7 +81,6 @@ def test_orbit_of_identity_gate_is_one():
     op = identity_op(1)
     orbit = compute_orbit(op, ClockedState(op.circuit.layout.zero_state(), 1))
     assert orbit.dimension == 1
-    assert len(list(orbit)) == 1
 
 
 @pytest.mark.parametrize(
@@ -121,6 +120,34 @@ def test_orbit_states_distinct_and_recur():
         seen.add(key)
         state = apply_forward(op, state)
     assert state == initial  # the d-th step closes the cycle
+
+
+def forward_steps_to_recur(op, initial):
+    """The orbit length by applying F one step at a time."""
+    state, steps = apply_forward(op, initial), 1
+    while state != initial:
+        state, steps = apply_forward(op, state), steps + 1
+    return steps
+
+
+@pytest.mark.parametrize("word", ["0", "1"])
+def test_orbit_from_every_clock_position_matches_forward_steps(word):
+    circuit = build_wrapper_circuit(corpus.load("flip"))
+    op = ForwardOperator(circuit)
+    start = circuit.layout.initial_basis_state(word)
+    for pos in range(1, op.s + 1):
+        initial = ClockedState(start, pos)
+        assert compute_orbit(op, initial).dimension == forward_steps_to_recur(op, initial), pos
+
+
+def test_orbit_budget_edge():
+    circuit = build_wrapper_circuit(corpus.load("flip"))
+    op = ForwardOperator(circuit)
+    initial = ClockedState(circuit.layout.initial_basis_state("0"), 3)
+    d = forward_steps_to_recur(op, initial)
+    with pytest.raises(BudgetExceededError):
+        compute_orbit(op, initial, max_steps=d - 1)
+    assert compute_orbit(op, initial, max_steps=d).dimension == d
 
 
 def test_orbit_budget_error():
@@ -168,7 +195,7 @@ def test_spectral_model_d8_against_dense_diagonalization():
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 17, 64, 100])
 def test_spectral_model_probabilities_sum_to_one_exactly(d):
     model = spectral_model(d)
-    assert sum(model.probabilities()) == Fraction(1)
+    assert sum(line.probability for line in model.lines) == Fraction(1)
     for line in model.lines:
         simple = line.index == 0 or (d % 2 == 0 and line.index == d // 2)
         assert line.multiplicity == (1 if simple else 2)

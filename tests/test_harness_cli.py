@@ -143,6 +143,11 @@ def test_config_validation():
         ExperimentConfig(spec_path="x", input_word="", accuracy="sometimes")
 
 
+def test_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        ExperimentConfig(spec_path="x", input_word="", seed=-1)
+
+
 def test_config_rejects_boolean_accuracy():
     with pytest.raises(ValueError, match="accuracy"):
         ExperimentConfig(spec_path="x", input_word="", accuracy=True)
@@ -313,6 +318,20 @@ def test_cli_experiment_config_file(tmp_path, capsys):
     assert report["decision"]["verdict"] == 0
 
 
+def test_cli_experiment_options_override_the_config_file(tmp_path, capsys):
+    cfg = {"spec_path": str(corpus.path("flip")), "input_word": "1", "seed": 11}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    argv = ["--samples", "50", "--batches", "2", "--input", "0", "--no-merge-cells"]
+    assert cli_dispatch(["experiment", "--config", str(path), *argv]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["samples_per_batch"] == 50
+    assert report["config"]["batch_count"] == 2
+    assert report["config"]["input_word"] == "0"
+    assert report["config"]["merge_cells"] is False
+    assert report["seed"] == 11
+
+
 def test_cli_unknown_subcommand_fails():
     with pytest.raises(SystemExit) as err:
         cli_dispatch(["frobnicate"])
@@ -339,6 +358,7 @@ BAD_CONFIGS = {
     "float-batches": {"spec_path": FLIP, "input_word": "0", "batch_count": 2.0},
     "string-seed": {"spec_path": FLIP, "input_word": "0", "seed": "1"},
     "float-max-run-steps": {"spec_path": FLIP, "input_word": "0", "max_run_steps": 1.5},
+    "negative-seed": {"spec_path": FLIP, "input_word": "0", "seed": -1},
 }
 
 
@@ -352,6 +372,10 @@ BAD_CONFIGS = {
         ["phase-estimate", "--phi", "1/3", "--m", "20"],
         ["phase-estimate", "--phi", "1/0", "--m", "3"],
         ["spectrum", "--d", "0"],
+        ["phase-estimate", "--phi", "1/2", "--m", "3", "--samples", "-3"],
+        ["sample", FLIP, "--input", "0", "--seed", "-1"],
+        ["decide", FLIP, "--input", "0", "--seed", "-1"],
+        ["experiment", "--spec", FLIP, "--input", "0", "--seed", "-1"],
         ["experiment", "--config", "unknown-key"],
         ["experiment", "--config", "bool-accuracy"],
         ["experiment", "--config", "missing-key"],

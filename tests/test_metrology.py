@@ -22,7 +22,6 @@ from clockobs.metrology import (
     phase_estimate_distribution,
     sample_exact,
     sample_phase_estimate,
-    sample_with_accuracy,
 )
 
 
@@ -76,7 +75,7 @@ def test_accuracy_model_validation():
 def test_zero_delta_certain_success_reproduces_exact_sampler():
     model = spectral_model(8)
     acc = AccuracyModel(delta=0.0, success_prob=1.0)
-    out = [sample_with_accuracy(acc, model, np.random.default_rng(3)) for _ in range(20)]
+    out = [draw_measurement(acc, model, np.random.default_rng(3))[0] for _ in range(20)]
     exact = {round(l.eigenvalue, 12) for l in model.lines}
     assert all(round(v, 12) in exact for v in out)
 
