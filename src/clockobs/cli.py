@@ -15,6 +15,8 @@ from dataclasses import asdict, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import circuits, clock, harness, metrology, rtm
 from .errors import BudgetExceededError, ClockObsError, SpecParseError, StageError
 
@@ -97,9 +99,10 @@ def _cmd_spectrum(args) -> int:
 
 def _draw(args) -> tuple[rtm.RtmSpec, metrology.SampleBatch]:
     """One batch of ``--samples`` draws seeded with ``--seed``."""
+    metrology.check_sample_budget(args.samples)
     spec, clocked = _clocked(args)
     delta = harness.resolve_accuracy(args.accuracy, clocked.r_nominal, clocked.circuit.s)
-    return spec, harness.draw_samples(clocked, delta, args.samples, [args.seed], args.seed)
+    return spec, harness.draw_samples(clocked, delta, args.samples, [args.seed])
 
 
 def _cmd_sample(args) -> int:
@@ -110,7 +113,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_decide(args) -> int:
     spec, batch = _draw(args)
-    decision = metrology.decide(batch, batch.r, batch.s)
+    decision = metrology.decide(batch)
     acc = batch.model
     _emit(
         {
@@ -147,13 +150,9 @@ def _cmd_phase_estimate(args) -> int:
         "argmax": int(table.argmax()),
     }
     if args.samples:
-        import numpy as np
-
         rng = np.random.default_rng(args.seed)
-        counts = [0] * len(table)
-        for _ in range(args.samples):
-            counts[metrology.sample_phase_estimate(setup, rng)] += 1
-        result["sample_counts"] = counts
+        draws = metrology.sample_phase_estimate(setup, rng, args.samples)
+        result["sample_counts"] = np.bincount(draws, minlength=len(table)).tolist()
         result["samples"] = args.samples
         result["seed"] = args.seed
     _emit(result, args.out)
@@ -176,11 +175,15 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type for seeds and sample counts."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+def _at_least(low: int):
+    """argparse type for seeds and counts: a decimal integer >= ``low``."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def _accuracy(text: str) -> float | str:
@@ -192,7 +195,7 @@ def _accuracy(text: str) -> float | str:
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """A subcommand's parser: a bad or missing option is a validation
+    """A usage error (unknown command, bad or missing option) is a validation
     failure, which ``cli_dispatch`` reports in one line with exit code 2."""
 
     def error(self, message):
@@ -200,12 +203,12 @@ class _CommandParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _CommandParser(
         prog="clockobs",
         description="Compile reversible machines into self-looping circuits and "
         "decide their output from accuracy-limited clock-observable measurements.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, needs_input=False):
         p.add_argument("spec", help="machine spec file (.rtm)")
@@ -233,23 +236,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw accuracy-limited measurement outcomes")
     add_common(p, needs_input=True)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--samples", type=_at_least(1), default=200)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--accuracy", default="auto", help="float or 'auto' (=1/(r*s))")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("decide", help="sample and run the parity decision")
     add_common(p, needs_input=True)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--samples", type=_at_least(1), default=200)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--accuracy", default="auto")
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("phase-estimate", help="exact ancilla readout distribution")
     p.add_argument("--phi", required=True, help="eigenphase in [0,1), fractions allowed")
     p.add_argument("--m", type=int, required=True, help="ancilla count")
-    p.add_argument("--samples", type=_non_negative_int, default=0)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--samples", type=_at_least(0), default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_phase_estimate)
 
@@ -258,9 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", dest="spec_path")
     p.add_argument("--input", dest="input_word")
     p.add_argument("--accuracy", type=_accuracy)
-    p.add_argument("--samples", dest="samples_per_batch", type=int)
-    p.add_argument("--batches", dest="batch_count", type=int)
-    p.add_argument("--seed", type=_non_negative_int)
+    p.add_argument("--samples", dest="samples_per_batch", type=_at_least(1))
+    p.add_argument("--batches", dest="batch_count", type=_at_least(1))
+    p.add_argument("--seed", type=_at_least(0))
     p.add_argument("--no-merge-cells", dest="merge_cells", action="store_false", default=None)
     p.add_argument("--out", dest="out_dir", help="output directory")
     p.set_defaults(func=_cmd_experiment)

@@ -15,8 +15,9 @@ Restricted to a d-cycle its eigenvalues are cos(2*pi*j/d); each non-real
 shift eigenvalue pairs up, so cos values for 0 < j < d/2 carry multiplicity 2
 while +1 (and -1 for even d) are simple. The cycle's starting vector weights
 every shift eigenvector equally, so a measurement on it returns cos(2*pi*j/d)
-with probability 2/d (paired) or 1/d (simple). ``spectral_model`` produces
-this table exactly, with rational probabilities; ``dense_orbit_oracle``
+with probability 2/d (paired) or 1/d (simple), so d alone fixes what a
+measurement returns (``cycle_eigenvalue`` is the formula). ``spectral_model``
+tabulates it exactly, with rational probabilities; ``dense_orbit_oracle``
 recomputes the spectrum numerically from the d x d matrix as an independent
 check.
 """
@@ -33,8 +34,8 @@ from .circuits import BasisState, Circuit, circuit_orbit_length
 from .errors import BudgetExceededError, DimensionError
 
 DENSE_ORACLE_CAP = 4096
-# Largest cycle ``spectral_model`` tabulates, about ten times flip3's d = 94,116
-# (its d/2 + 1 exact lines take about 3 s and 160 MB at the cap on a 2-vCPU Xeon).
+# Largest cycle ``spectral_model`` tabulates (``clockobs spectrum --d``); its
+# d/2 + 1 exact lines take about 3 s and 160 MB at the cap on a 2-vCPU Xeon.
 MAX_SPECTRUM_DIM = 1_000_000
 
 
@@ -129,6 +130,11 @@ class SpectralModel:
         return np.sort(np.array(vals))
 
 
+def cycle_eigenvalue(j: int, d: int) -> float:
+    """cos(2*pi*j/d), the eigenvalue of the symmetrized d-cycle at index j."""
+    return math.cos(2.0 * math.pi * j / d)
+
+
 def spectral_model(d: int) -> SpectralModel:
     """Exact eigenvalue / multiplicity / outcome-probability table for the
     symmetrized d-cycle, as seen from the equal-weight starting vector."""
@@ -138,16 +144,8 @@ def spectral_model(d: int) -> SpectralModel:
         raise BudgetExceededError(f"dimension {d} exceeds the spectrum cap {MAX_SPECTRUM_DIM}")
     lines = []
     for j in range(d // 2 + 1):
-        simple = j == 0 or (d % 2 == 0 and j == d // 2)
-        mult = 1 if simple else 2
-        lines.append(
-            SpectralLine(
-                index=j,
-                eigenvalue=math.cos(2.0 * math.pi * j / d),
-                multiplicity=mult,
-                probability=Fraction(mult, d),
-            )
-        )
+        mult = 1 if j == 0 or 2 * j == d else 2  # +1, and -1 when d is even, are simple
+        lines.append(SpectralLine(j, cycle_eigenvalue(j, d), mult, Fraction(mult, d)))
     return SpectralModel(dimension=d, lines=tuple(lines))
 
 

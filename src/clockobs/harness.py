@@ -41,16 +41,16 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.merge_cells, bool):
             raise ValueError(f"merge_cells must be true or false, got {self.merge_cells!r}")
-        for name in ("samples_per_batch", "batch_count", "seed", "max_run_steps"):
+        lows = {"samples_per_batch": 1, "batch_count": 1, "seed": 0, "max_run_steps": 1}
+        for name, low in lows.items():
             value = getattr(self, name)
-            if type(value) is not int and not (value is None and name == "max_run_steps"):
+            if value is None and name == "max_run_steps":
+                continue  # the default budget
+            if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.samples_per_batch < 1:
-            raise ValueError("samples_per_batch must be >= 1")
-        if self.batch_count < 1:
-            raise ValueError("batch_count must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        metrology.check_sample_budget(self.samples_per_batch * self.batch_count)
         if isinstance(self.accuracy, str) and self.accuracy != AUTO_ACCURACY:
             raise ValueError(f"accuracy must be a positive number or 'auto', got {self.accuracy!r}")
         resolve_accuracy(self.accuracy, 1, 1)
@@ -138,12 +138,11 @@ class ClockedCircuit:
     r_nominal: int
     locality: clock.LocalityReport
     orbit: clock.Orbit
-    model: clock.SpectralModel
 
 
 def compile_and_clock(spec: rtm.RtmSpec, input_word: str, merge_cells: bool) -> ClockedCircuit:
-    """Stages compile, orbit and spectrum: build V, walk the clock orbit of
-    the input, and tabulate the orbit's spectrum."""
+    """Stages compile and orbit: build V and walk the clock orbit of the
+    input, whose dimension d fixes every measurement's outcome distribution."""
     with _stage("compile"):
         circuit = circuits.build_wrapper_circuit(spec, merge_cells=merge_cells)
         op = clock.ForwardOperator(circuit)
@@ -151,33 +150,32 @@ def compile_and_clock(spec: rtm.RtmSpec, input_word: str, merge_cells: bool) -> 
     with _stage("orbit"):
         initial = clock.ClockedState(circuit.layout.initial_basis_state(input_word), 1)
         orbit = clock.compute_orbit(op, initial)
-    with _stage("spectrum"):
-        model = clock.spectral_model(orbit.dimension)
     r_nominal = circuits.nominal_cycle_length(circuit.layout.m)
-    return ClockedCircuit(circuit, r_nominal, locality, orbit, model)
+    return ClockedCircuit(circuit, r_nominal, locality, orbit)
 
 
 def draw_samples(
-    clocked: ClockedCircuit, accuracy: float, n: int, seeds: list, seed: int
+    clocked: ClockedCircuit, accuracy: float, n: int, seeds: list
 ) -> metrology.SampleBatch:
     """Stage sample: n measurements per key in ``seeds``, pooled into one
-    batch labelled ``seed``. The experimenter's grid is the nominal cycle
-    length, not the observed one, so the accuracy cannot leak the answer."""
+    batch. The experimenter's grid is the nominal cycle length, not the
+    observed one, so the accuracy cannot leak the answer."""
     with _stage("sample"):
-        r, s = clocked.r_nominal, clocked.circuit.s
+        r, s, d = clocked.r_nominal, clocked.circuit.s, clocked.orbit.dimension
         acc_model = metrology.AccuracyModel(delta=accuracy)
         values: list[float] = []
         for key in seeds:
-            batch = metrology.draw_batch(acc_model, clocked.model, n, seed=key, r=r, s=s)
-            values.extend(batch.values)
-        return metrology.SampleBatch(tuple(values), seed, acc_model, clocked.orbit.dimension, r, s)
+            values.extend(metrology.draw_batch(acc_model, d, n, seed=key, r=r, s=s).values)
+        return metrology.SampleBatch(tuple(values), acc_model, r, s)
 
 
 def samples_csv(batch: metrology.SampleBatch) -> str:
     """One row per sample: trial, raw value, kept flag, grid index, parity."""
     lines = ["trial,raw_value,filtered,j,parity"]
-    for trial, value, kept, j, parity in metrology.batch_rows(batch, batch.r, batch.s):
-        lines.append(f"{trial},{value!r},1,{j},{parity}" if kept else f"{trial},{value!r},0,,")
+    for trial, value in enumerate(batch.values):
+        fr = metrology.filter_round(value, batch.r, batch.s)
+        kept = "0,," if fr is None else f"1,{fr[0]},{fr[1]}"
+        lines.append(f"{trial},{value!r},{kept}")
     return "\n".join(lines) + "\n"
 
 
@@ -206,15 +204,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             )
 
     clocked = compile_and_clock(spec, config.input_word, config.merge_cells)
-    orbit, model = clocked.orbit, clocked.model
+    d = clocked.orbit.dimension
     grid_r, grid_s = clocked.r_nominal, clocked.circuit.s
-    gap_top = 1.0 - model.lines[1].eigenvalue if orbit.dimension > 1 else 0.0
     accuracy = resolve_accuracy(config.accuracy, grid_r, grid_s)
     seeds = [batch_seed(config.seed, b) for b in range(config.batch_count)]
-    pooled = draw_samples(clocked, accuracy, config.samples_per_batch, seeds, config.seed)
+    pooled = draw_samples(clocked, accuracy, config.samples_per_batch, seeds)
 
     with _stage("decide"):
-        decision = metrology.decide(pooled, grid_r, grid_s)
+        decision = metrology.decide(pooled)
 
     elapsed = time.perf_counter() - started
     report = ExperimentReport(
@@ -225,13 +222,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             "gate_count": grid_s,
         },
         r_nominal=grid_r,
-        d_observed=orbit.dimension,
+        d_observed=d,
         f_ground_truth=truth.f_of_x,
         decision=decision,
         spectral_summary={
-            "d": orbit.dimension,
-            "distinct_eigenvalues": len(model.lines),
-            "top_gap": gap_top,
+            "d": d,
+            "distinct_eigenvalues": d // 2 + 1,
+            "top_gap": 1.0 - clock.cycle_eigenvalue(1, d) if d > 1 else 0.0,
         },
         locality_max_support=clocked.locality.max_support,
         agreement=decision.verdict == truth.f_of_x,

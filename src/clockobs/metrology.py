@@ -2,9 +2,9 @@
 
 An accuracy-delta measurement promises that an outcome lands within delta of
 the true eigenvalue with probability at least 3/4. The shipped model draws a
-true eigenvalue from the exact spectral table, then either reports it plus
-uniform noise inside the window (success, probability >= 3/4) or emits a
-failure-mode outcome.
+true eigenvalue of the orbit's d-cycle with its exact weight (d alone fixes
+the spectrum), then either reports it plus uniform noise inside the window
+(success, probability >= 3/4) or emits a failure-mode outcome.
 
 The decision statistic: keep outcomes with |E| <= 1/sqrt(2), round arccos(E)
 to the nearest multiple of pi/(r*s), and tally how often the grid index is
@@ -21,21 +21,19 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 
-from .clock import SpectralModel
+from .clock import cycle_eigenvalue
+from .errors import BudgetExceededError
 
 FILTER_BAND = 1.0 / math.sqrt(2.0)
 DECISION_THRESHOLD = 5.0 / 16.0  # midway between 3/8 and 1/4
 MIN_FILTERED = 32
 PROBABILITY_GAP = 1.0 / 8.0  # 3/8 - 1/4
 PHASE_ANCILLA_CAP = 14
+# Most measurements one run draws (``--samples``, samples_per_batch * batch_count,
+# phase-estimate ``--samples``); at the cap a batch holds about 64 MB of floats.
+MAX_SAMPLES = 2_000_000
 
 FAILURE_MODES = ("uniform_full_range", "adversarial_offset")
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -61,10 +59,8 @@ class AccuracyModel:
 @dataclass(frozen=True)
 class SampleBatch:
     values: tuple[float, ...]
-    seed: int
     model: AccuracyModel
-    d: int
-    r: int
+    r: int  # the decision grid is pi/(r*s)
     s: int
 
 
@@ -78,22 +74,26 @@ class DecisionResult:
     inconclusive: bool
 
 
-def sample_exact(model: SpectralModel, seed) -> float:
-    """Draw an eigenvalue with its exact outcome probability.
+def check_sample_budget(n: int) -> None:
+    """Refuse a run that would draw more than ``MAX_SAMPLES`` measurements."""
+    if n > MAX_SAMPLES:
+        raise BudgetExceededError(f"{n} samples exceed the cap {MAX_SAMPLES}")
+
+
+def sample_exact(d: int, rng: np.random.Generator) -> float:
+    """Draw an eigenvalue of the d-cycle with its exact outcome probability.
 
     A uniform position u on the d-cycle gives cos(2*pi*u/d), which reproduces
     the (1/d, 2/d) weights because u and d-u fold onto the same value.
     """
-    rng = _as_rng(seed)
-    u = int(rng.integers(model.dimension))
-    return math.cos(2.0 * math.pi * u / model.dimension)
+    return cycle_eigenvalue(int(rng.integers(d)), d)
 
 
 def draw_measurement(
-    acc: AccuracyModel, model: SpectralModel, rng: np.random.Generator
+    acc: AccuracyModel, d: int, rng: np.random.Generator
 ) -> tuple[float, float]:
     """One accuracy-limited measurement; returns (outcome, true eigenvalue)."""
-    true = sample_exact(model, rng)
+    true = sample_exact(d, rng)
     if rng.random() < acc.success_prob:
         noise = rng.uniform(-acc.delta, acc.delta) if acc.delta > 0 else 0.0
         return true + noise, true
@@ -105,15 +105,13 @@ def draw_measurement(
     return min(hi, max(lo, true + sign * 2.0 * acc.delta)), true
 
 
-def draw_batch(
-    acc: AccuracyModel, model: SpectralModel, n: int, seed: int, r: int, s: int
-) -> SampleBatch:
-    """n reproducible measurements; the seed fully determines the batch."""
+def draw_batch(acc: AccuracyModel, d: int, n: int, seed, r: int, s: int) -> SampleBatch:
+    """n reproducible measurements on the d-cycle; the seed fully determines
+    the batch."""
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    values = tuple(draw_measurement(acc, model, rng)[0] for _ in range(n))
-    return SampleBatch(values=values, seed=seed, model=acc, d=model.dimension, r=r, s=s)
+    return SampleBatch(tuple(draw_measurement(acc, d, rng)[0] for _ in range(n)), acc, r, s)
 
 
 def filter_round(value: float, r: int, s: int) -> tuple[int, int] | None:
@@ -144,10 +142,12 @@ def chernoff_confidence(filtered_count: int, gap: float) -> float:
     return math.exp(-2.0 * filtered_count * (gap / 2.0) ** 2)
 
 
-def decide(batch: SampleBatch, r: int, s: int) -> DecisionResult:
-    """Filter, round, and threshold the odd fraction of the grid indices."""
+def decide(batch: SampleBatch) -> DecisionResult:
+    """Filter, round to the batch's grid, and threshold the odd fraction of
+    the grid indices."""
     if not batch.values:
         raise ValueError("batch is empty")
+    r, s = batch.r, batch.s
     parities = [fr[1] for fr in (filter_round(v, r, s) for v in batch.values) if fr is not None]
     kept, odd = len(parities), sum(parities)
     odd_fraction = odd / kept if kept else 0.0
@@ -160,13 +160,6 @@ def decide(batch: SampleBatch, r: int, s: int) -> DecisionResult:
         confidence_bound=chernoff_confidence(kept, PROBABILITY_GAP),
         inconclusive=kept < MIN_FILTERED,
     )
-
-
-def batch_rows(batch: SampleBatch, r: int, s: int):
-    """Rows (trial, raw_value, filtered, j, parity) for CSV dumps."""
-    for trial, value in enumerate(batch.values):
-        fr = filter_round(value, r, s)
-        yield (trial, value, False, None, None) if fr is None else (trial, value, True, *fr)
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +214,11 @@ def phase_estimate_distribution(setup: PhaseEstimationSetup) -> np.ndarray:
     return total
 
 
-def sample_phase_estimate(setup: PhaseEstimationSetup, seed) -> int:
-    """One readout drawn from the exact distribution; seed-reproducible."""
-    rng = _as_rng(seed)
+def sample_phase_estimate(
+    setup: PhaseEstimationSetup, rng: np.random.Generator, n: int
+) -> np.ndarray:
+    """n readouts drawn from the exact distribution in one call; the same
+    draws as n single-readout draws from ``rng``."""
+    check_sample_budget(n)
     probs = phase_estimate_distribution(setup)
-    probs = probs / probs.sum()
-    return int(rng.choice(len(probs), p=probs))
+    return rng.choice(len(probs), size=n, p=probs / probs.sum())

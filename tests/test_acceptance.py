@@ -163,7 +163,7 @@ def test_criterion_6_accuracy_window_contract():
     n = 100_000
     hits = sum(
         abs(outcome - true) <= acc.delta + 1e-12
-        for outcome, true in (draw_measurement(acc, model, rng) for _ in range(n))
+        for outcome, true in (draw_measurement(acc, model.dimension, rng) for _ in range(n))
     )
     sigma = math.sqrt(0.75 * 0.25 / n)
     assert hits / n >= 0.75 - 3 * sigma
@@ -187,8 +187,8 @@ def test_criterion_7_decision_separation_decay_agreement(instances):
             model = spectral_model(inst.orbit.dimension)
             acc = AccuracyModel(delta=1.0 / (r * s))
             for b in range(per_class):
-                batch = draw_batch(acc, model, 200, seed=[700, f, b, inst.layout.m], r=r, s=s)
-                result = decide(batch, r, s)
+                batch = draw_batch(acc, model.dimension, 200, seed=[700, f, b, inst.layout.m], r=r, s=s)
+                result = decide(batch)
                 odd += round(result.odd_fraction * result.filtered_count)
                 kept += result.filtered_count
         odd_frac[f] = odd / kept
@@ -209,8 +209,8 @@ def test_criterion_7_decision_separation_decay_agreement(instances):
             model = spectral_model(d)
             acc = AccuracyModel(delta=1.0 / (r * s))
             for b in range(100):
-                batch = draw_batch(acc, model, size, seed=[710, size, f, b], r=r, s=s)
-                result = decide(batch, r, s)
+                batch = draw_batch(acc, model.dimension, size, seed=[710, size, f, b], r=r, s=s)
+                result = decide(batch)
                 wrong += result.verdict != f
                 bound_sum += result.confidence_bound
                 trials += 1
@@ -239,8 +239,8 @@ def test_criterion_7_decision_separation_decay_agreement(instances):
         model = spectral_model(inst.orbit.dimension)
         acc = AccuracyModel(delta=1.0 / (r * s))
         for seed in range(902, 914):
-            batch = draw_batch(acc, model, 200, seed=[seed, inst.layout.m, inst.f], r=r, s=s)
-            agreements += decide(batch, r, s).verdict == inst.f
+            batch = draw_batch(acc, model.dimension, 200, seed=[seed, inst.layout.m, inst.f], r=r, s=s)
+            agreements += decide(batch).verdict == inst.f
             trials += 1
     rate = agreements / trials
     assert trials >= 100
@@ -278,7 +278,7 @@ def test_criterion_8_phase_estimation():
 
         n = 10_000
         rng = np.random.default_rng(1000 + m)
-        counts = Counter(sample_phase_estimate(setup, rng) for _ in range(n))
+        counts = Counter(sample_phase_estimate(setup, rng, n).tolist())
         for j, p in enumerate(table):
             sigma = math.sqrt(p * (1 - p) / n)
             assert abs(counts[j] / n - p) <= 3 * sigma + 3.0 / n, (m, j)

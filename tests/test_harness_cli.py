@@ -1,11 +1,14 @@
+import itertools
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from clockobs import corpus
 from clockobs.circuits import build_wrapper_circuit, circuit_orbit_length
+from clockobs.clock import spectral_model
 from clockobs.cli import (
     EXIT_BUDGET,
     EXIT_IO,
@@ -15,6 +18,7 @@ from clockobs.cli import (
 )
 from clockobs.errors import StageError
 from clockobs.harness import ExperimentConfig, batch_seed, resolve_accuracy, run_experiment
+from clockobs.metrology import PhaseEstimationSetup, sample_phase_estimate
 
 
 def flip_config(tmp_path, **overrides):
@@ -55,6 +59,26 @@ def test_experiment_flip_accepting():
     assert report.d_observed == 2 * report.machine["gate_count"] * report.r_nominal
     assert report.locality_max_support == 4
     assert not report.accuracy_coarser_than_grid
+
+
+CORPUS_RUNS = [
+    (name, "".join(word), merged)
+    for name in corpus.machine_names()
+    for word in itertools.product(corpus.load(name).alphabet, repeat=corpus.load(name).tape_cells)
+    for merged in (True, False)
+]
+
+
+@pytest.mark.parametrize("name,word,merged", CORPUS_RUNS)
+def test_spectral_summary_matches_the_closed_form(name, word, merged):
+    config = ExperimentConfig(
+        spec_path=str(corpus.path(name)), input_word=word, samples_per_batch=1, merge_cells=merged
+    )
+    summary = run_experiment(config).spectral_summary
+    model = spectral_model(summary["d"])
+    assert summary["distinct_eigenvalues"] == len(model.lines)
+    top_gap = 1.0 - model.lines[1].eigenvalue if summary["d"] > 1 else 0.0
+    assert summary["top_gap"] == top_gap
 
 
 def test_experiment_coarse_accuracy_is_flagged():
@@ -146,6 +170,12 @@ def test_config_validation():
 def test_config_rejects_negative_seed():
     with pytest.raises(ValueError, match="seed must be >= 0"):
         ExperimentConfig(spec_path="x", input_word="", seed=-1)
+
+
+@pytest.mark.parametrize("steps", [0, -5])
+def test_config_rejects_non_positive_max_run_steps(steps):
+    with pytest.raises(ValueError, match="max_run_steps must be >= 1"):
+        ExperimentConfig(spec_path="x", input_word="", max_run_steps=steps)
 
 
 def test_config_rejects_boolean_accuracy():
@@ -279,6 +309,17 @@ def test_cli_phase_estimate(capsys):
     assert out["distribution"][1] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_cli_phase_estimate_counts_come_from_one_draw(capsys):
+    argv = ["phase-estimate", "--phi", "1/3", "--m", "6", "--samples", "500", "--seed", "2"]
+    assert cli_dispatch(argv) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    draws = sample_phase_estimate(
+        PhaseEstimationSetup(m=6, eigenphases=(1 / 3,)), np.random.default_rng(2), 500
+    )
+    assert out["sample_counts"] == np.bincount(draws, minlength=64).tolist()
+    assert sum(out["sample_counts"]) == out["samples"] == 500
+
+
 def test_cli_experiment_deterministic_stdout(tmp_path, capsys):
     args = [
         "experiment",
@@ -333,9 +374,7 @@ def test_cli_experiment_options_override_the_config_file(tmp_path, capsys):
 
 
 def test_cli_unknown_subcommand_fails():
-    with pytest.raises(SystemExit) as err:
-        cli_dispatch(["frobnicate"])
-    assert err.value.code != 0
+    assert cli_dispatch(["frobnicate"]) == EXIT_VALIDATION
 
 
 def test_cli_entrypoint_runs_as_module():
@@ -359,6 +398,8 @@ BAD_CONFIGS = {
     "string-seed": {"spec_path": FLIP, "input_word": "0", "seed": "1"},
     "float-max-run-steps": {"spec_path": FLIP, "input_word": "0", "max_run_steps": 1.5},
     "negative-seed": {"spec_path": FLIP, "input_word": "0", "seed": -1},
+    "zero-max-run-steps": {"spec_path": FLIP, "input_word": "0", "max_run_steps": 0},
+    "negative-max-run-steps": {"spec_path": FLIP, "input_word": "0", "max_run_steps": -5},
 }
 
 
@@ -376,15 +417,18 @@ BAD_CONFIGS = {
         ["sample", FLIP, "--input", "0", "--seed", "-1"],
         ["decide", FLIP, "--input", "0", "--seed", "-1"],
         ["experiment", "--spec", FLIP, "--input", "0", "--seed", "-1"],
+        ["nosuch"],
+        ["sample", FLIP, "--bogus"],
+        [],
         ["experiment", "--config", "unknown-key"],
         ["experiment", "--config", "bool-accuracy"],
         ["experiment", "--config", "missing-key"],
         *(["experiment", "--config", key] for key in list(BAD_CONFIGS)[3:]),
     ],
-    ids=lambda argv: "-".join(a for a in argv if a != FLIP),
+    ids=lambda argv: "-".join(a for a in argv if a != FLIP) or "no-command",
 )
 def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
-    if argv[-1] in BAD_CONFIGS:
+    if argv and argv[-1] in BAD_CONFIGS:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(BAD_CONFIGS[argv[-1]]), encoding="utf-8")
         argv = argv[:-1] + [str(path)]
@@ -401,8 +445,21 @@ def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
         (["compile", FLIP], ("circuits", "MAX_DUMP_ENTRIES", 1000)),
         (["spectrum", "--d", "100000000"], None),
         (["validate", "WIDE"], None),
+        (["sample", FLIP, "--samples", "2000001"], None),
+        (["decide", FLIP, "--samples", "2000001"], None),
+        (["experiment", "--spec", FLIP, "--samples", "1000001", "--batches", "2"], None),
+        (["phase-estimate", "--phi", "1/3", "--m", "3", "--samples", "2000001"], None),
     ],
-    ids=["compile-gate-cap", "compile-dump-cap", "spectrum-huge-d", "validate-sweep-cap"],
+    ids=[
+        "compile-gate-cap",
+        "compile-dump-cap",
+        "spectrum-huge-d",
+        "validate-sweep-cap",
+        "sample-count-cap",
+        "decide-count-cap",
+        "experiment-count-cap",
+        "phase-estimate-count-cap",
+    ],
 )
 def test_cli_over_budget_exits_3_with_one_line(argv, cap, monkeypatch, tmp_path, capsys):
     if cap:
@@ -421,6 +478,31 @@ def test_cli_over_budget_exits_3_with_one_line(argv, cap, monkeypatch, tmp_path,
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["sample", FLIP, "--samples", "0"], EXIT_VALIDATION),
+        (["decide", FLIP, "--samples", "0"], EXIT_VALIDATION),
+        (["sample", FLIP, "--samples", "2000001"], EXIT_BUDGET),
+        (["experiment", "--spec", FLIP, "--samples", "1000001", "--batches", "2"], EXIT_BUDGET),
+    ],
+    ids=["sample-zero", "decide-zero", "sample-over-cap", "experiment-over-cap"],
+)
+def test_cli_sample_counts_fail_before_compile(argv, code, monkeypatch, capsys):
+    def no_compile(*args, **kwargs):
+        raise AssertionError("compiled before the sample count was checked")
+
+    monkeypatch.setattr("clockobs.circuits.build_wrapper_circuit", no_compile)
+    assert cli_dispatch(argv) == code
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_spectrum_cap_bounds_only_the_spectrum_command(monkeypatch, capsys):
+    monkeypatch.setattr("clockobs.clock.MAX_SPECTRUM_DIM", 100)  # flip's orbit has d = 900
+    assert cli_dispatch(["decide", FLIP, "--input", "0"]) == EXIT_OK
+    assert cli_dispatch(["spectrum", "--d", "900"]) == EXIT_BUDGET
 
 
 @pytest.mark.parametrize("word", ["0", "1"])

@@ -32,14 +32,14 @@ from clockobs.metrology import (
 def test_sample_exact_d1_is_always_one():
     model = spectral_model(1)
     rng = np.random.default_rng(0)
-    assert all(sample_exact(model, rng) == 1.0 for _ in range(50))
+    assert all(sample_exact(model.dimension, rng) == 1.0 for _ in range(50))
 
 
 def test_sample_exact_d4_frequencies():
     model = spectral_model(4)
     rng = np.random.default_rng(7)
     n = 100_000
-    counts = Counter(round(sample_exact(model, rng), 9) for _ in range(n))
+    counts = Counter(round(sample_exact(model.dimension, rng), 9) for _ in range(n))
     for value, p in [(1.0, 0.25), (0.0, 0.5), (-1.0, 0.25)]:
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(counts[value] / n - p) <= 3 * sigma
@@ -50,7 +50,7 @@ def test_sample_exact_d256_chi_square():
     model = spectral_model(d)
     rng = np.random.default_rng(11)
     n = 100_000
-    counts = Counter(round(sample_exact(model, rng), 9) for _ in range(n))
+    counts = Counter(round(sample_exact(model.dimension, rng), 9) for _ in range(n))
     observed, expected = [], []
     for line in model.lines:
         observed.append(counts[round(line.eigenvalue, 9)])
@@ -75,7 +75,7 @@ def test_accuracy_model_validation():
 def test_zero_delta_certain_success_reproduces_exact_sampler():
     model = spectral_model(8)
     acc = AccuracyModel(delta=0.0, success_prob=1.0)
-    out = [draw_measurement(acc, model, np.random.default_rng(3))[0] for _ in range(20)]
+    out = [draw_measurement(acc, model.dimension, np.random.default_rng(3))[0] for _ in range(20)]
     exact = {round(l.eigenvalue, 12) for l in model.lines}
     assert all(round(v, 12) in exact for v in out)
 
@@ -91,7 +91,7 @@ def test_accuracy_window_contract(failure_mode, delta):
     n = 100_000
     hits = 0
     for _ in range(n):
-        outcome, true = draw_measurement(acc, model, rng)
+        outcome, true = draw_measurement(acc, model.dimension, rng)
         if abs(outcome - true) <= delta + 1e-12:
             hits += 1
     sigma = math.sqrt(0.75 * 0.25 / n)
@@ -106,7 +106,7 @@ def test_outcomes_cluster_near_eigenvalues_d8():
     eigs = [l.eigenvalue for l in model.lines]
     near = 0
     for _ in range(n):
-        out, _ = draw_measurement(acc, model, rng)
+        out, _ = draw_measurement(acc, model.dimension, rng)
         if any(abs(out - e) <= 0.01 + 1e-12 for e in eigs):
             near += 1
     sigma = math.sqrt(0.75 * 0.25 / n)
@@ -118,16 +118,16 @@ def test_outcomes_bounded_by_extended_range():
     acc = AccuracyModel(delta=0.2)
     rng = np.random.default_rng(9)
     for _ in range(5000):
-        out, _ = draw_measurement(acc, model, rng)
+        out, _ = draw_measurement(acc, model.dimension, rng)
         assert -1.2 - 1e-12 <= out <= 1.2 + 1e-12
 
 
 def test_batches_reproducible_by_seed():
     model = spectral_model(32)
     acc = AccuracyModel(delta=0.02)
-    a = draw_batch(acc, model, 64, seed=42, r=4, s=8)
-    b = draw_batch(acc, model, 64, seed=42, r=4, s=8)
-    c = draw_batch(acc, model, 64, seed=43, r=4, s=8)
+    a = draw_batch(acc, model.dimension, 64, seed=42, r=4, s=8)
+    b = draw_batch(acc, model.dimension, 64, seed=42, r=4, s=8)
+    c = draw_batch(acc, model.dimension, 64, seed=43, r=4, s=8)
     assert a.values == b.values
     assert a.values != c.values
 
@@ -193,10 +193,8 @@ def test_accuracy_one_over_t_rounds_every_inband_value_correctly():
 # decision
 
 
-def _batch_from_values(values, r, s, d):
-    return SampleBatch(
-        values=tuple(values), seed=0, model=AccuracyModel(delta=0.0), d=d, r=r, s=s
-    )
+def _batch_from_values(values, r, s):
+    return SampleBatch(values=tuple(values), model=AccuracyModel(delta=0.0), r=r, s=s)
 
 
 def test_decide_all_even_grid_values_is_reject():
@@ -207,7 +205,7 @@ def test_decide_all_even_grid_values_is_reject():
         for j in range(0, d // 2, 2)
         if abs(math.cos(2 * math.pi * j / d)) <= FILTER_BAND
     ] * 10
-    result = decide(_batch_from_values(values, r, s, d), r, s)
+    result = decide(_batch_from_values(values, r, s))
     assert result.odd_fraction == 0.0
     assert result.verdict == 0
     assert not result.inconclusive
@@ -220,8 +218,8 @@ def test_decide_accepting_instance():
     d = 2 * r * s
     model = spectral_model(d)
     acc = AccuracyModel(delta=1.0 / (r * s))
-    batch = draw_batch(acc, model, 4000, seed=12, r=r, s=s)
-    result = decide(batch, r, s)
+    batch = draw_batch(acc, model.dimension, 4000, seed=12, r=r, s=s)
+    result = decide(batch)
     assert result.verdict == 1
     sigma = math.sqrt(result.odd_fraction * (1 - result.odd_fraction) / result.filtered_count)
     assert result.odd_fraction >= 3.0 / 8.0 - 3 * sigma
@@ -233,22 +231,22 @@ def test_decide_rejecting_instance():
     d = r * s
     model = spectral_model(d)
     acc = AccuracyModel(delta=1.0 / (r * s))
-    batch = draw_batch(acc, model, 4000, seed=13, r=r, s=s)
-    result = decide(batch, r, s)
+    batch = draw_batch(acc, model.dimension, 4000, seed=13, r=r, s=s)
+    result = decide(batch)
     assert result.verdict == 0
     assert result.odd_fraction <= 1.0 / 4.0 + 0.05
 
 
 def test_decide_small_batch_is_inconclusive():
     values = [0.0] * 10
-    result = decide(_batch_from_values(values, 2, 2, 8), 2, 2)
+    result = decide(_batch_from_values(values, 2, 2))
     assert result.inconclusive
     assert result.filtered_count == 10 < MIN_FILTERED
 
 
 def test_decide_empty_batch_raises():
     with pytest.raises(ValueError):
-        decide(_batch_from_values([], 2, 2, 8), 2, 2)
+        decide(_batch_from_values([], 2, 2))
 
 
 def test_decision_threshold_sits_between_bounds():
@@ -290,7 +288,7 @@ def _odd_fraction_pooled(d, r, s, batches, per_batch, seed0):
     acc = AccuracyModel(delta=1.0 / (r * s))
     odd = kept = 0
     for b in range(batches):
-        batch = draw_batch(acc, model, per_batch, seed=[seed0, b], r=r, s=s)
+        batch = draw_batch(acc, model.dimension, per_batch, seed=[seed0, b], r=r, s=s)
         for v in batch.values:
             fr = filter_round(v, r, s)
             if fr is not None:
@@ -321,8 +319,8 @@ def test_misclassification_decays_and_respects_hoeffding():
             model = spectral_model(d)
             acc = AccuracyModel(delta=1.0 / (r * s))
             for b in range(batches):
-                batch = draw_batch(acc, model, size, seed=[size, f, b], r=r, s=s)
-                result = decide(batch, r, s)
+                batch = draw_batch(acc, model.dimension, size, seed=[size, f, b], r=r, s=s)
+                result = decide(batch)
                 bound_acc += result.confidence_bound
                 if result.verdict != f:
                     wrong += 1
@@ -397,7 +395,7 @@ def test_sampling_matches_exact_table():
     table = phase_estimate_distribution(setup)
     rng = np.random.default_rng(77)
     n = 10_000
-    counts = Counter(sample_phase_estimate(setup, rng) for _ in range(n))
+    counts = Counter(sample_phase_estimate(setup, rng, n).tolist())
     for j, p in enumerate(table):
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(counts[j] / n - p) <= 3 * sigma + 3.0 / n
@@ -406,7 +404,17 @@ def test_sampling_matches_exact_table():
 def test_sampling_point_mass_is_deterministic():
     setup = PhaseEstimationSetup(m=2, eigenphases=(0.25,))
     rng = np.random.default_rng(1)
-    assert all(sample_phase_estimate(setup, rng) == 1 for _ in range(100))
+    assert all(sample_phase_estimate(setup, rng, 100) == 1)
+
+
+def test_readouts_drawn_at_once_match_one_draw_per_readout():
+    setup = PhaseEstimationSetup(m=14, eigenphases=(1 / 3,))
+    probs = phase_estimate_distribution(setup)
+    probs = probs / probs.sum()
+    rng = np.random.default_rng(2)
+    one_at_a_time = [int(rng.choice(len(probs), p=probs)) for _ in range(2000)]
+    at_once = sample_phase_estimate(setup, np.random.default_rng(2), 2000).tolist()
+    assert at_once == one_at_a_time
 
 
 def test_total_variation_shrinks_with_samples():
@@ -415,7 +423,7 @@ def test_total_variation_shrinks_with_samples():
 
     def tv(n, seed):
         rng = np.random.default_rng(seed)
-        counts = Counter(sample_phase_estimate(setup, rng) for _ in range(n))
+        counts = Counter(sample_phase_estimate(setup, rng, n).tolist())
         return 0.5 * sum(abs(counts[j] / n - p) for j, p in enumerate(table))
 
     assert tv(100_000, 5) < tv(1_000, 5)
