@@ -8,8 +8,6 @@ from .circuits import (
     RegisterLayout,
     Wire,
     apply_circuit,
-    build_moving_gate,
-    build_rw_gates,
     build_step_circuit,
     build_wrapper_circuit,
     circuit_orbit_length,

@@ -526,20 +526,6 @@ def _step_maps(spec: RtmSpec) -> list[tuple[str, tuple[str, ...], Callable]]:
     return [move] + wall("swap") + [rewrite] + wall("swap2")
 
 
-def _lift_maps(layout: RegisterLayout, maps) -> list[PermGate]:
-    return [lift_gate(layout, registers, fn, label) for label, registers, fn in maps]
-
-
-def build_moving_gate(spec: RtmSpec, layout: RegisterLayout | None = None) -> PermGate:
-    """U's first gate: the move on (head, tape_index)."""
-    return _lift_maps(layout or machine_layout(spec), _step_maps(spec)[:1])[0]
-
-
-def build_rw_gates(spec: RtmSpec, layout: RegisterLayout | None = None) -> list[PermGate]:
-    """The rest of U: swap wall, rewrite gate on (head, acc), mirror swap wall."""
-    return _lift_maps(layout or machine_layout(spec), _step_maps(spec)[1:])
-
-
 def _guard_initial_state(spec: RtmSpec) -> None:
     """The move gate can only hold a non-moving state fixed when no moving
     rule lands on it (rule images occupy those table slots). The initial
@@ -568,7 +554,8 @@ def build_step_circuit(spec: RtmSpec) -> Circuit:
     move that lands on a read-write state performs both in one application)."""
     _guard_initial_state(spec)
     layout = machine_layout(spec)
-    return Circuit(layout=layout, gates=tuple(_lift_maps(layout, _step_maps(spec))))
+    gates = (lift_gate(layout, regs, fn, label) for label, regs, fn in _step_maps(spec))
+    return Circuit(layout=layout, gates=tuple(gates))
 
 
 # ---------------------------------------------------------------------------
@@ -639,21 +626,28 @@ def _bookkeeping_maps(spec: RtmSpec, layout: RegisterLayout) -> list[tuple[str, 
     ]
 
 
-def build_wrapper_circuit(spec: RtmSpec, merge_cells: bool = True) -> Circuit:
-    """The self-looping circuit V (see the module docstring for the mode
-    rules and gate ordering). Raises ``BudgetExceededError`` before lifting
-    when its register-level tables would exceed ``MAX_GATE_ENTRIES``."""
-    _guard_initial_state(spec)
-    layout = wrapper_layout(spec, merge_cells=merge_cells)
-    maps = _step_maps(spec)
-    bookkeeping = _bookkeeping_maps(spec, layout)
-    read = [(R_MODE, *regs) for _, regs, _ in maps] * 2 + [regs for _, regs, _ in bookkeeping]
+def check_gate_budget(spec: RtmSpec, layout: RegisterLayout) -> None:
+    """Raise ``BudgetExceededError`` when V's register-level tables on
+    ``layout`` would hold more than ``MAX_GATE_ENTRIES`` entries."""
+    read = [(R_MODE, *regs) for _, regs, _ in _step_maps(spec)] * 2
+    read += [regs for _, regs, _ in _bookkeeping_maps(spec, layout)]
     entries = sum(math.prod(map(layout.register_dim, regs)) for regs in read)
     if entries > MAX_GATE_ENTRIES:
         raise BudgetExceededError(
             f"wrapper circuit needs {entries} gate-table entries, "
             f"over the compile cap {MAX_GATE_ENTRIES}"
         )
+
+
+def build_wrapper_circuit(spec: RtmSpec, merge_cells: bool = True) -> Circuit:
+    """The self-looping circuit V (see the module docstring for the mode
+    rules and gate ordering). Raises ``BudgetExceededError`` before lifting
+    when its register-level tables would exceed ``MAX_GATE_ENTRIES``."""
+    _guard_initial_state(spec)
+    layout = wrapper_layout(spec, merge_cells=merge_cells)
+    check_gate_budget(spec, layout)
+    maps = _step_maps(spec)
+    bookkeeping = _bookkeeping_maps(spec, layout)
 
     # the payload is U itself: its maps controlled on run, then U^-1 (each
     # map's table inverted, in reverse order) controlled on unwind-run

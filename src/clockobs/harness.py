@@ -193,6 +193,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 f"machine is not reversible ({len(report.violations)} violations; "
                 f"first: {first})"
             )
+        # the ground-truth step budget grows with the register space, so a
+        # machine too large to compile is refused before it is run
+        circuits.check_gate_budget(spec, circuits.wrapper_layout(spec, config.merge_cells))
 
     with _stage("ground-truth"):
         m = circuits.state_bits(spec)

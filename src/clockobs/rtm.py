@@ -8,7 +8,7 @@ tape untouched), or a final state. A machine accepts by writing the symbol
 
 The module parses the line-oriented spec format, simulates machines, and
 checks reversibility (totality plus injectivity of the configuration step
-map) by exhaustive enumeration of the configuration space.
+map) from the transition rules, which for this normal form decide it.
 """
 
 from __future__ import annotations
@@ -16,16 +16,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
-from .errors import BudgetExceededError, MachineStepError, SpecParseError
+from .errors import MachineStepError, SpecParseError
 
 ACCEPT_SYMBOL = "1"
-
-# Exhaustive reversibility sweeps enumerate |states| * N * |alphabet|**N
-# configurations; refuse anything past this.
-MAX_SWEEP_CONFIGS = 2_000_000
 
 
 class StateKind(Enum):
@@ -226,6 +221,11 @@ def parse_rtm_spec(text: str, name: str = "<string>") -> RtmSpec:
                 states[sid] = kind
         elif key == "alphabet":
             for tok in rest.split():
+                if len(tok) != 1:
+                    # an input word is read one character per cell
+                    raise SpecParseError(
+                        f"alphabet symbol {tok!r} must be a single character", lineno
+                    )
                 if tok in alphabet:
                     raise SpecParseError(f"duplicate symbol {tok!r}", lineno)
                 alphabet.append(tok)
@@ -350,32 +350,49 @@ def run_machine(
 # ---------------------------------------------------------------------------
 # reversibility
 
-def all_configs(spec: RtmSpec) -> Iterable[MachineConfig]:
-    """Every (state, index, tape) configuration, in deterministic order."""
-    for state in spec.states:
-        for idx in range(1, spec.tape_cells + 1):
-            for tape in product(spec.alphabet, repeat=spec.tape_cells):
-                yield MachineConfig(state, idx, tape)
-
-
 def config_space_size(spec: RtmSpec) -> int:
     return len(spec.states) * spec.tape_cells * len(spec.alphabet) ** spec.tape_cells
 
 
-def check_reversibility(spec: RtmSpec, max_reported: int = 20) -> ReversibilityReport:
-    """Exhaustively check that the step map is total on non-final states and
-    injective over the full configuration space.
+def _preimage(spec: RtmSpec, rule: Transition, image: MachineConfig) -> MachineConfig:
+    """The configuration that ``rule`` steps to ``image`` (whose state is the
+    rule's target; for a read-write rule the scanned cell must hold its write)."""
+    if isinstance(rule, MovingRule):
+        index = (image.tape_index - 1 - rule.direction) % spec.tape_cells + 1
+        return MachineConfig(rule.source, index, image.tape)
+    tape = list(image.tape)
+    tape[image.tape_index - 1] = rule.read
+    return MachineConfig(rule.source, image.tape_index, tuple(tape))
 
-    Violations are report content rather than exceptions. Rule-level causes
-    (missing rules, colliding images) are reported alongside config-level
-    collision witnesses.
+
+def _collision_witness(spec: RtmSpec, first: Transition, second: Transition) -> Violation:
+    """The collision of two distinct rules into one state (writing one
+    symbol, if both are read-write rules): the configuration of that state
+    with the head on cell 1, which holds the written symbol, and its
+    preimage under each rule."""
+    written = [r.write for r in (first, second) if isinstance(r, ReadWriteRule)]
+    tape = ((written or [spec.blank])[0],) + (spec.blank,) * (spec.tape_cells - 1)
+    image = MachineConfig(first.target, 1, tape)
+    a, b = (_preimage(spec, r, image) for r in (first, second))
+    show = lambda c: f"({c.head_state},{c.tape_index},{''.join(c.tape)})"
+    return Violation("collision", f"configs {show(a)} and {show(b)} both step to {show(image)}")
+
+
+def check_reversibility(spec: RtmSpec) -> ReversibilityReport:
+    """Check, from the transition rules, that the step map is total on
+    non-final configurations and injective on the whole configuration space.
+
+    In this normal form two configurations step to the same one only through
+    two rules into the same state: two moving rules, a moving and a
+    read-write rule, or two read-write rules writing the same symbol. So
+    totality plus these rule-level checks decide bijectivity (the local
+    criterion for reversible Turing machines: Bennett 1973, "Logical
+    reversibility of computation"; Morita, *Theory of Reversible Computing*,
+    2017), and ``configs_checked`` is the size of the space the verdict
+    covers. Violations are report content rather than exceptions; after the
+    rule-level ones comes one colliding pair of configurations per
+    rule-level collision.
     """
-    size = config_space_size(spec)
-    if size > MAX_SWEEP_CONFIGS:
-        raise BudgetExceededError(
-            f"configuration space of size {size} exceeds the sweep cap {MAX_SWEEP_CONFIGS}"
-        )
-
     violations: list[Violation] = []
 
     # rule-level totality
@@ -399,6 +416,7 @@ def check_reversibility(spec: RtmSpec, max_reported: int = 20) -> ReversibilityR
     incoming: dict[str, list[Transition]] = {}
     for t in spec.transitions:
         incoming.setdefault(t.target, []).append(t)
+    colliding: list[tuple[Transition, Transition]] = []
     for target, rules in sorted(incoming.items()):
         movers = [t for t in rules if isinstance(t, MovingRule)]
         writers = [t for t in rules if isinstance(t, ReadWriteRule)]
@@ -409,6 +427,7 @@ def check_reversibility(spec: RtmSpec, max_reported: int = 20) -> ReversibilityR
                     f"state {target!r} is entered by both moving and read-write rules",
                 )
             )
+            colliding.append((movers[0], writers[0]))
         if len(movers) > 1:
             violations.append(
                 Violation(
@@ -416,6 +435,7 @@ def check_reversibility(spec: RtmSpec, max_reported: int = 20) -> ReversibilityR
                     f"state {target!r} is entered by {len(movers)} moving rules",
                 )
             )
+            colliding.append((movers[0], movers[1]))
         seen_writes: dict[str, ReadWriteRule] = {}
         for t in writers:
             if t.write in seen_writes:
@@ -427,35 +447,10 @@ def check_reversibility(spec: RtmSpec, max_reported: int = 20) -> ReversibilityR
                         f"({other.source!r},{other.read!r}) and ({t.source!r},{t.read!r})",
                     )
                 )
+                colliding.append((other, t))
             else:
                 seen_writes[t.write] = t
-
-    # config-level sweep: totality implies the map is defined everywhere it
-    # should be; injectivity witnesses give concrete colliding configurations.
-    images: dict[tuple, MachineConfig] = {}
-    coll_count = 0
-    for config in all_configs(spec):
-        if spec.kind(config.head_state) is StateKind.FINAL:
-            continue
-        try:
-            nxt = step_machine(spec, config)
-        except MachineStepError:
-            continue  # already reported by the totality pass
-        key = (nxt.head_state, nxt.tape_index, nxt.tape)
-        if key in images:
-            coll_count += 1
-            if coll_count <= max_reported:
-                first = images[key]
-                violations.append(
-                    Violation(
-                        "collision",
-                        f"configs ({first.head_state},{first.tape_index},{''.join(first.tape)})"
-                        f" and ({config.head_state},{config.tape_index},{''.join(config.tape)})"
-                        f" both step to ({nxt.head_state},{nxt.tape_index},{''.join(nxt.tape)})",
-                    )
-                )
-        else:
-            images[key] = config
+    violations += [_collision_witness(spec, a, b) for a, b in colliding]
 
     # boundary wraps: moving rules that would wrap the index if taken there
     wraps = []
@@ -466,5 +461,5 @@ def check_reversibility(spec: RtmSpec, max_reported: int = 20) -> ReversibilityR
     return ReversibilityReport(
         violations=tuple(violations),
         boundary_wraps=tuple(wraps),
-        configs_checked=size,
+        configs_checked=config_space_size(spec),
     )

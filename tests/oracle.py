@@ -1,0 +1,117 @@
+"""Test-only reference for reversibility: an exhaustive sweep of the
+configuration space, and a seeded generator of small machines to run it on.
+
+``rtm.check_reversibility`` decides reversibility from the transition rules;
+the sweep here decides it by stepping every configuration with
+``rtm.step_machine``, so the two can be compared machine by machine.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import product
+from typing import Iterable
+
+from clockobs.errors import MachineStepError
+from clockobs.rtm import (
+    MachineConfig,
+    MovingRule,
+    ReadWriteRule,
+    RtmSpec,
+    StateKind,
+    Transition,
+    step_machine,
+)
+
+MOVERS = (StateKind.MOVE_RIGHT, StateKind.MOVE_LEFT)
+
+
+def all_configs(spec: RtmSpec) -> Iterable[MachineConfig]:
+    """Every (state, index, tape) configuration, in deterministic order."""
+    for state in spec.states:
+        for idx in range(1, spec.tape_cells + 1):
+            for tape in product(spec.alphabet, repeat=spec.tape_cells):
+                yield MachineConfig(state, idx, tape)
+
+
+def sweep(spec: RtmSpec) -> tuple[int, int]:
+    """Step every non-final configuration; return how many have no step
+    defined and how many step to a configuration an earlier one reached."""
+    images: set[tuple] = set()
+    undefined = collisions = 0
+    for config in all_configs(spec):
+        if spec.kind(config.head_state) is StateKind.FINAL:
+            continue
+        try:
+            nxt = step_machine(spec, config)
+        except MachineStepError:
+            undefined += 1
+            continue
+        key = (nxt.head_state, nxt.tape_index, nxt.tape)
+        collisions += key in images
+        images.add(key)
+    return undefined, collisions
+
+
+def random_machine(rng: random.Random) -> RtmSpec:
+    """A small machine (1-6 states, 1-3 symbols, 1-4 cells).
+
+    A third are built reversible: every state is entered either by one
+    moving rule or by read-write rules writing distinct symbols, and every
+    rule is present. A third are such a machine with one rule dropped or
+    retargeted, and a third have every rule drawn at random, so most of
+    those collide or are partial.
+    """
+    alphabet = tuple("012"[: rng.randint(1, 3)])
+    names = [f"s{i}" for i in range(rng.randint(1, 6))]
+    kinds = [StateKind.READ_WRITE, *MOVERS, StateKind.FINAL]
+    states = {name: rng.choice(kinds) for name in names}
+    movers = [s for s in names if states[s] in MOVERS]
+    writers = [s for s in names if states[s] is StateKind.READ_WRITE]
+    reads = [(s, a) for s in writers for a in alphabet]
+    mode = rng.choice(("reversible", "mutated", "random"))
+
+    if mode == "random":
+        rules: list[Transition] = [
+            MovingRule(s, rng.choice(names), +1 if states[s] is StateKind.MOVE_RIGHT else -1)
+            for s in movers
+            if rng.random() < 0.9
+        ]
+        rules += [
+            ReadWriteRule(s, a, rng.choice(names), rng.choice(alphabet))
+            for s, a in reads
+            if rng.random() < 0.9
+        ]
+    else:
+        # each state takes either one moving rule or |alphabet| read-write
+        # rules; enough of each kind for every rule to have its own image
+        order = rng.sample(names, len(names))
+        entered_by_writes = order[: len(writers)]
+        entered_by_move = order[len(writers) : len(writers) + len(movers)]
+        for s in order[len(writers) + len(movers) :]:
+            (entered_by_writes if rng.random() < 0.5 else entered_by_move).append(s)
+        write_images = rng.sample([(q, b) for q in entered_by_writes for b in alphabet], len(reads))
+        move_images = rng.sample(entered_by_move, len(movers))
+        rules = [
+            MovingRule(s, q, +1 if states[s] is StateKind.MOVE_RIGHT else -1)
+            for s, q in zip(movers, move_images)
+        ]
+        rules += [ReadWriteRule(s, a, q, b) for (s, a), (q, b) in zip(reads, write_images)]
+        if mode == "mutated" and rules:
+            i = rng.randrange(len(rules))
+            rule = rules.pop(i)
+            if rng.random() < 0.7:  # retarget it instead of dropping it
+                target = rng.choice(names)
+                if isinstance(rule, MovingRule):
+                    rules.insert(i, MovingRule(rule.source, target, rule.direction))
+                else:
+                    rules.insert(i, ReadWriteRule(rule.source, rule.read, target, rng.choice(alphabet)))
+
+    return RtmSpec(
+        name=f"random-{mode}",
+        states=states,
+        alphabet=alphabet,
+        transitions=tuple(rules),
+        initial_state=names[0],
+        tape_cells=rng.randint(1, 4),
+    )

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from oracle import all_configs
 
 from clockobs import circuits, corpus, rtm
 from clockobs.circuits import (
@@ -20,8 +21,6 @@ from clockobs.circuits import (
     Circuit,
     PermGate,
     apply_circuit,
-    build_moving_gate,
-    build_rw_gates,
     build_step_circuit,
     build_wrapper_circuit,
     circuit_orbit_length,
@@ -163,9 +162,7 @@ def test_dump_over_its_cap_fails_before_building(monkeypatch):
 
 
 def test_moving_gate_with_no_movers_is_identity():
-    spec = corpus.load("flip")
-    layout = machine_layout(spec)
-    gate = build_moving_gate(spec, layout)
+    (gate,) = build_step_circuit(corpus.load("flip")).gates[:1]
     assert np.array_equal(gate.table, np.arange(len(gate.table)))
 
 
@@ -179,8 +176,8 @@ transition: move p -> q +1
 transition: move q -> h +1
 """
     spec = parse_rtm_spec(text)
-    layout = machine_layout(spec)
-    gate = build_moving_gate(spec, layout)
+    step = build_step_circuit(spec)
+    layout, (gate,) = step.layout, step.gates[:1]
     state = machine_basis_state(spec, layout, rtm.MachineConfig("p", 3, ("0",) * 3))
     values = list(state.values)
     gate.apply_values(values)
@@ -191,8 +188,8 @@ transition: move q -> h +1
 
 def test_moving_gate_table_matches_rule_enumeration():
     spec = corpus.load("flipwalk")
-    layout = machine_layout(spec)
-    gate = build_moving_gate(spec, layout)
+    step = build_step_circuit(spec)
+    layout, (gate,) = step.layout, step.gates[:1]
     n = spec.tape_cells
     for state, rule in spec.moving_rules.items():
         for i in range(n):
@@ -216,10 +213,10 @@ tape_cells: 2
 transition: move p -> h +1
 """
     spec = parse_rtm_spec(text)
-    layout = machine_layout(spec)
-    gates = build_rw_gates(spec, layout)
+    step = build_step_circuit(spec)
+    layout, gates = step.layout, step.gates[1:]
     assert len(gates) == 2 * spec.tape_cells + 1
-    circuit = Circuit(layout=layout, gates=tuple(gates))
+    circuit = Circuit(layout=layout, gates=gates)
     for packed in range(64):
         values = [0] * len(layout.wires)
         rem = packed
@@ -242,8 +239,9 @@ transition: rw (p,0) -> (q,1)
 transition: rw (p,1) -> (q,0)
 """
     spec = parse_rtm_spec(text)
-    layout = machine_layout(spec)
-    circuit = Circuit(layout=layout, gates=tuple(build_rw_gates(spec, layout)))
+    step = build_step_circuit(spec)
+    layout = step.layout
+    circuit = Circuit(layout=layout, gates=step.gates[1:])
     state = machine_basis_state(spec, layout, rtm.MachineConfig("p", 1, ("0", "0")))
     out = apply_circuit(circuit, state)
     head, index, tape, acc = read_machine_registers(layout, out)
@@ -254,9 +252,10 @@ transition: rw (p,1) -> (q,0)
 @pytest.mark.parametrize("name", corpus.machine_names())
 def test_rw_sandwich_restores_accumulator(name):
     spec = corpus.load(name)
-    layout = machine_layout(spec)
-    circuit = Circuit(layout=layout, gates=tuple(build_rw_gates(spec, layout)))
-    for config in rtm.all_configs(spec):
+    step = build_step_circuit(spec)
+    layout = step.layout
+    circuit = Circuit(layout=layout, gates=step.gates[1:])
+    for config in all_configs(spec):
         state = machine_basis_state(spec, layout, config)
         out = apply_circuit(circuit, state)
         assert layout.get_register(out, R_ACC) == 0
@@ -269,7 +268,7 @@ def test_rw_sandwich_restores_accumulator(name):
 def test_step_circuit_identity_for_immediate_halt():
     spec = corpus.load("halt")
     circuit = build_step_circuit(spec)
-    for config in rtm.all_configs(spec):
+    for config in all_configs(spec):
         state = machine_basis_state(spec, circuit.layout, config)
         assert apply_circuit(circuit, state) == state
 
@@ -281,7 +280,7 @@ def test_step_circuit_matches_step_machine_everywhere(name):
     spec = corpus.load(name)
     circuit = build_step_circuit(spec)
     layout = circuit.layout
-    for config in rtm.all_configs(spec):
+    for config in all_configs(spec):
         if spec.kind(config.head_state) is StateKind.FINAL:
             continue
         want = rtm.step_machine(spec, config)
@@ -618,7 +617,7 @@ def test_wrapper_payload_runs_the_step_circuit_and_its_inverse(merged):
     unrun = Circuit(layout, wrapper.gates[step.s : 2 * step.s])
     assert [g.label for g in run.gates] == [f"run:{g.label}" for g in step.gates]
     assert [g.label for g in unrun.gates] == [f"unrun:{g.label}" for g in step.gates[::-1]]
-    for config in rtm.all_configs(spec):
+    for config in all_configs(spec):
         u_out = apply_circuit(step, machine_basis_state(spec, step.layout, config))
         start = machine_basis_state(spec, layout, config)  # mode run
         v_out = apply_circuit(run, start)

@@ -438,13 +438,57 @@ def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def write_wide(tmp_path) -> str:
+    """A reversible 24-cell machine: 2 * 24 * 2**24 configurations, and V's
+    gates would hold 206,158,467,488 register-level entries."""
+    wide = tmp_path / "wide.rtm"
+    wide.write_text(
+        "states: p:rw h:final\nalphabet: 0 1\ninitial: p\ntape_cells: 24\n"
+        "transition: rw (p,0) -> (h,1)\ntransition: rw (p,1) -> (h,0)\n",
+        encoding="utf-8",
+    )
+    return str(wide)
+
+
+def test_cli_validate_wide_machine_from_the_rules(tmp_path, capsys):
+    assert cli_dispatch(["validate", write_wide(tmp_path)]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["reversible"] is True
+    assert out["configs_checked"] == 2 * 24 * 2**24
+
+
+def test_experiment_checks_the_gate_cap_before_running_the_machine(tmp_path, monkeypatch):
+    # the default ground-truth budget grows with the register space (about
+    # 1.7e10 steps for a 24-cell machine), so the cap must come first
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran the machine before checking the gate cap")
+
+    monkeypatch.setattr("clockobs.rtm.run_machine", no_run)
+    argv = ["experiment", "--spec", write_wide(tmp_path), "--input", "0"]
+    assert cli_dispatch(argv) == EXIT_BUDGET
+
+
+def test_cli_multi_character_symbol_exits_2_with_one_line(tmp_path, capsys):
+    spec = tmp_path / "ab.rtm"
+    spec.write_text(
+        "states: p:rw h:final\nalphabet: 0 ab\ninitial: p\ntape_cells: 2\n"
+        "transition: rw (p,0) -> (h,ab)\ntransition: rw (p,ab) -> (h,0)\n",
+        encoding="utf-8",
+    )
+    assert cli_dispatch(["experiment", "--spec", str(spec), "--input", "ab"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "[parse]" in err and "'ab' must be a single character" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "argv,cap",
     [
         (["compile", FLIP], ("circuits", "MAX_GATE_ENTRIES", 100)),
         (["compile", FLIP], ("circuits", "MAX_DUMP_ENTRIES", 1000)),
         (["spectrum", "--d", "100000000"], None),
-        (["validate", "WIDE"], None),
+        (["compile", "WIDE"], None),
+        (["experiment", "--spec", "WIDE", "--input", "0"], None),
         (["sample", FLIP, "--samples", "2000001"], None),
         (["decide", FLIP, "--samples", "2000001"], None),
         (["experiment", "--spec", FLIP, "--samples", "1000001", "--batches", "2"], None),
@@ -454,7 +498,8 @@ def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
         "compile-gate-cap",
         "compile-dump-cap",
         "spectrum-huge-d",
-        "validate-sweep-cap",
+        "compile-wide-gate-cap",
+        "experiment-wide-gate-cap",
         "sample-count-cap",
         "decide-count-cap",
         "experiment-count-cap",
@@ -465,14 +510,7 @@ def test_cli_over_budget_exits_3_with_one_line(argv, cap, monkeypatch, tmp_path,
     if cap:
         module, name, value = cap
         monkeypatch.setattr(f"clockobs.{module}.{name}", value)
-    if argv[-1] == "WIDE":  # 2 * 24 * 2**24 configurations
-        wide = tmp_path / "wide.rtm"
-        wide.write_text(
-            "states: p:rw h:final\nalphabet: 0 1\ninitial: p\ntape_cells: 24\n"
-            "transition: rw (p,0) -> (h,1)\ntransition: rw (p,1) -> (h,0)\n",
-            encoding="utf-8",
-        )
-        argv = argv[:-1] + [str(wide)]
+    argv = [write_wide(tmp_path) if a == "WIDE" else a for a in argv]
     assert cli_dispatch(argv) == EXIT_BUDGET
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,4 +1,10 @@
+import random
+import re
+from collections import Counter
+from dataclasses import replace
+
 import pytest
+from oracle import all_configs, random_machine, sweep
 
 from clockobs import corpus
 from clockobs.errors import MachineStepError, SpecParseError
@@ -7,7 +13,6 @@ from clockobs.rtm import (
     MovingRule,
     ReadWriteRule,
     StateKind,
-    all_configs,
     check_reversibility,
     config_space_size,
     initial_config,
@@ -73,6 +78,7 @@ def test_parse_flip_corpus_machine():
         ("states: h:final h:rw\nalphabet: 0\ninitial: h\ntape_cells: 1", "duplicate state"),
         ("states: h:wat\nalphabet: 0\ninitial: h\ntape_cells: 1", "bad state declaration"),
         ("states: h:final\nalphabet: 0 0\ninitial: h\ntape_cells: 1", "duplicate symbol"),
+        ("states: h:final\nalphabet: 0 ab\ninitial: h\ntape_cells: 1", "single character"),
         ("states: h:final\nalphabet: 0\ninitial: x\ntape_cells: 1", "unknown initial state"),
         ("states: h:final\nalphabet: 0\ninitial: h\ntape_cells: lots", "wants an integer"),
         ("states: h:final\nalphabet: 0\ninitial: h", "missing 'tape_cells:'"),
@@ -165,8 +171,45 @@ transition: rw (z,1) -> (a,1)
     assert any(
         "both moving and read-write" in v.message for v in report.violations
     )
-    # the exhaustive sweep must find concrete colliding configurations too
+    # with a concrete pair of colliding configurations
     assert any("both step to" in v.message for v in report.violations)
+
+
+_CONFIG = r"\(([^,()]+),(\d+),([^,()]*)\)"
+_WITNESS = re.compile(rf"configs {_CONFIG} and {_CONFIG} both step to {_CONFIG}")
+_RULE_COLLISIONS = {
+    "both moving and read-write": "mover and writer",
+    "moving rules": "two movers",
+    "reached by both": "two writers",
+}
+
+
+def _check_against_sweep(spec) -> tuple[bool, list[str]]:
+    """Assert that check_reversibility agrees with the exhaustive sweep and
+    that every witness it names steps as claimed; return its verdict and the
+    kinds of rule-level collision it reported."""
+    report = check_reversibility(spec)
+    undefined, collisions = sweep(spec)
+    assert report.is_reversible == (undefined == collisions == 0), spec
+    kinds = [v.kind for v in report.violations]
+    assert ("non_total" in kinds) == (undefined > 0), spec
+    assert ("collision" in kinds) == (collisions > 0), spec
+    assert report.configs_checked == config_space_size(spec)
+
+    rule_level = [
+        label
+        for v in report.violations
+        for phrase, label in _RULE_COLLISIONS.items()
+        if phrase in v.message
+    ]
+    witnesses = [m for v in report.violations if (m := _WITNESS.fullmatch(v.message))]
+    assert len(witnesses) == len(rule_level) == kinds.count("collision") - len(witnesses)
+    for m in witnesses:
+        a, b, image = (MachineConfig(m[i], int(m[i + 1]), tuple(m[i + 2])) for i in (1, 4, 7))
+        assert a != b
+        for config in (a, b):
+            assert step_machine(spec, config) == replace(image, steps=1), m[0]
+    return report.is_reversible, rule_level
 
 
 @pytest.mark.parametrize("name", corpus.machine_names())
@@ -174,7 +217,20 @@ def test_corpus_machines_are_reversible(name):
     spec = corpus.load(name)
     report = check_reversibility(spec)
     assert report.is_reversible, report.violations
-    assert report.configs_checked == config_space_size(spec)
+    _check_against_sweep(spec)
+
+
+def test_rule_check_agrees_with_sweep_on_generated_machines():
+    rng = random.Random(6021)
+    verdicts: Counter = Counter()
+    collisions: Counter = Counter()
+    for _ in range(2400):
+        spec = random_machine(rng)
+        reversible, kinds = _check_against_sweep(spec)
+        verdicts[reversible] += 1
+        collisions.update(kinds)
+    assert min(verdicts[True], verdicts[False]) >= 500, verdicts
+    assert min(collisions[k] for k in _RULE_COLLISIONS.values()) >= 50, collisions
 
 
 def test_boundary_wraps_listed_for_movers():
