@@ -38,7 +38,6 @@ so every emitted gate touches at most two wires.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -51,7 +50,7 @@ from .rtm import ACCEPT_SYMBOL, RtmSpec, StateKind
 
 MODE_RUN, MODE_PAD, MODE_UNPAD, MODE_UNRUN = 0, 1, 2, 3
 
-# Size caps. Lifting takes about 2.5 us per register-level entry, and a dump
+# Size caps. Lifting takes about 0.08 us per register-level entry, and a dump
 # takes about 50 bytes per wire-level entry while it is built; flip3, the
 # largest machine exercised, needs 0.1M and (merged) 5.5M.
 MAX_GATE_ENTRIES = 2_000_000
@@ -372,67 +371,50 @@ def wrapper_layout(spec: RtmSpec, merge_cells: bool = True) -> RegisterLayout:
 # ---------------------------------------------------------------------------
 # permutation completion and gate lifting
 
-def complete_permutation(
-    universe: Sequence[tuple], required: dict[tuple, tuple]
-) -> dict[tuple, tuple]:
-    """Extend a partial injective map to a full permutation of ``universe``.
+def complete_permutation(size: int, required: dict[int, int]) -> np.ndarray:
+    """Extend a partial injective map on ``range(size)`` to a permutation array.
 
     Points outside the required domain keep their identity image whenever it
-    is still free; the remaining domain and range are matched in sorted
+    is still free; the remaining domain and range are matched in increasing
     order. Raises if the required entries already collide.
     """
-    uni = list(universe)
-    uni_set = set(uni)
+    images: dict[int, int] = {}
     for k, v in required.items():
-        if k not in uni_set or v not in uni_set:
+        if v in images:
+            raise PermutationError(
+                f"entries {images[v]} and {k} share the image {v}; machine is not reversible"
+            )
+        if not (0 <= k < size and 0 <= v < size):
             raise PermutationError(f"required entry {k}->{v} leaves the universe")
-    taken = set(required.values())
-    if len(taken) != len(required):
-        images: dict[tuple, tuple] = {}
-        for k, v in required.items():
-            if v in images:
-                raise PermutationError(
-                    f"entries {images[v]} and {k} share the image {v}; "
-                    "machine is not reversible"
-                )
-            images[v] = k
-    perm = dict(required)
-    leftovers = []
-    for x in uni:
-        if x in perm:
-            continue
-        if x not in taken:
-            perm[x] = x
-            taken.add(x)
-        else:
-            leftovers.append(x)
-    free = sorted(y for y in uni_set - taken)
-    for x, y in zip(sorted(leftovers), free):
-        perm[x] = y
+        images[v] = k
+    perm = np.arange(size)
+    src, dst = list(required), list(required.values())
+    domain, taken = np.isin(perm, src), np.isin(perm, dst)
+    perm[src] = dst
+    perm[taken & ~domain] = np.flatnonzero(domain & ~taken)  # displaced points fill the gaps
     return perm
 
 
 def _register_table(
     layout: RegisterLayout, registers: Sequence[str], fn: Callable, label: str
 ) -> np.ndarray:
-    """``fn`` tabulated over every assignment of ``registers``, packed mixed
-    radix in the order given."""
+    """``fn`` evaluated once on every assignment of ``registers``, packed
+    mixed radix in the order given."""
     dims = [layout.register_dim(r) for r in registers]
-    table = []
-    for values in itertools.product(*map(range, dims)):
-        env = dict(zip(registers, values))
-        changes = fn(dict(env)) or {}
-        stray = changes.keys() - env.keys()
-        if stray:
-            raise PermutationError(f"gate {label}: writes {sorted(stray)}, which it does not name")
-        env.update(changes)
-        out = 0
-        for r, d in zip(registers, dims):
-            if not 0 <= env[r] < d:
-                raise DimensionError(f"gate {label}: {r} = {env[r]} is out of range")
-            out = out * d + env[r]
-        table.append(out)
-    return np.array(table)
+    env = dict(zip(registers, np.indices(dims, sparse=True)))
+    changes = fn(dict(env)) or {}
+    stray = changes.keys() - env.keys()
+    if stray:
+        raise PermutationError(f"gate {label}: writes {sorted(stray)}, which it does not name")
+    env.update(changes)
+    table = 0
+    for r, d in zip(registers, dims):
+        value = np.asarray(env[r])
+        bad = (value < 0) | (value >= d)
+        if bad.any():
+            raise DimensionError(f"gate {label}: {r} = {value[bad][0]} is out of range")
+        table = table * d + value
+    return np.broadcast_to(table, dims).ravel()
 
 
 def _gate_from_table(
@@ -454,14 +436,16 @@ def _gate_from_table(
 def lift_gate(
     layout: RegisterLayout,
     registers: Sequence[str],
-    fn: Callable[[dict[str, int]], dict[str, int] | None],
+    fn: Callable[[dict[str, np.ndarray]], dict[str, np.ndarray] | None],
     label: str,
 ) -> PermGate:
     """Materialize a register-level map as a permutation gate.
 
-    ``fn`` is called once per assignment of ``registers``, with the values of
-    exactly those registers, and returns the changed ones (or None for
-    identity). Other registers sharing their wires ride along untouched.
+    ``fn`` is called once, with one broadcast index array per register in
+    ``registers`` (``np.indices(..., sparse=True)`` over their dims), and
+    returns the changed registers as arrays broadcastable against those (or
+    None for identity). Other registers sharing their wires ride along
+    untouched.
     """
     table = _register_table(layout, registers, fn, label)
     return _gate_from_table(layout, registers, table, label)
@@ -470,8 +454,9 @@ def lift_gate(
 # ---------------------------------------------------------------------------
 # the step circuit U as register-level maps
 
-def _moving_pair_map(spec: RtmSpec) -> dict[tuple, tuple]:
-    """Permutation of (head, index) pairs realizing the moving transitions.
+def _moving_perm(spec: RtmSpec) -> np.ndarray:
+    """Permutation of (head, index) pairs, packed ``head * N + index``,
+    realizing the moving transitions.
 
     Rule images take priority; states left untouched keep their identity when
     no rule image collides with it, and the leftovers are matched canonically
@@ -479,41 +464,49 @@ def _moving_pair_map(spec: RtmSpec) -> dict[tuple, tuple]:
     """
     sidx = {s: i for i, s in enumerate(spec.states)}
     n = spec.tape_cells
-    universe = [(s, i) for s in range(len(spec.states)) for i in range(n)]
-    required: dict[tuple, tuple] = {}
-    for state, rule in spec.moving_rules.items():
-        for i in range(n):
-            required[(sidx[state], i)] = (sidx[rule.target], (i + rule.direction) % n)
-    return complete_permutation(universe, required)
+    required = {
+        sidx[state] * n + i: sidx[rule.target] * n + (i + rule.direction) % n
+        for state, rule in spec.moving_rules.items()
+        for i in range(n)
+    }
+    return complete_permutation(len(spec.states) * n, required)
 
 
-def _rw_pair_map(spec: RtmSpec) -> dict[tuple, tuple]:
-    """Permutation of (head, acc) pairs realizing the read-write transitions."""
+def _rw_perm(spec: RtmSpec) -> np.ndarray:
+    """Permutation of (head, acc) pairs, packed ``head * |alphabet| + acc``,
+    realizing the read-write transitions."""
     sidx = {s: i for i, s in enumerate(spec.states)}
     aidx = {a: i for i, a in enumerate(spec.alphabet)}
-    universe = [(s, a) for s in range(len(spec.states)) for a in range(len(spec.alphabet))]
+    a = len(spec.alphabet)
     required = {
-        (sidx[r.source], aidx[r.read]): (sidx[r.target], aidx[r.write])
+        sidx[r.source] * a + aidx[r.read]: sidx[r.target] * a + aidx[r.write]
         for r in spec.rw_rules.values()
     }
-    return complete_permutation(universe, required)
+    return complete_permutation(len(spec.states) * a, required)
 
 
-def _pair_fn(first: str, second: str, pair: dict[tuple, tuple]) -> Callable:
-    return lambda env: dict(zip((first, second), pair[(env[first], env[second])]))
+def _pair_fn(first: str, second: str, perm: np.ndarray, dim: int) -> Callable:
+    """Apply ``perm`` to (first, second) packed as ``first * dim + second``."""
+    pair = (first, second)
+    return lambda env: dict(zip(pair, np.divmod(perm[env[first] * dim + env[second]], dim)))
 
 
 def _wall_fn(cell: int) -> Callable:
     """Swap the accumulator with tape cell ``cell`` when the index points at it."""
     reg = tape_register(cell)
-    return lambda env: {R_ACC: env[reg], reg: env[R_ACC]} if env[R_INDEX] == cell - 1 else None
+
+    def fn(env):
+        here, acc, value = env[R_INDEX] == cell - 1, env[R_ACC], env[reg]
+        return {R_ACC: np.where(here, value, acc), reg: np.where(here, acc, value)}
+
+    return fn
 
 
 def _step_maps(spec: RtmSpec) -> list[tuple[str, tuple[str, ...], Callable]]:
     """U as an ordered list of ``(label, registers read, fn)``: the move, the
-    swap wall, the rewrite and the mirror swap wall. ``fn`` receives the
-    values of the registers it reads and returns the changed ones (None for
-    identity)."""
+    swap wall, the rewrite and the mirror swap wall. ``fn`` takes index arrays
+    over the registers it reads and returns the changed ones, as
+    ``lift_gate`` describes."""
 
     def wall(tag: str) -> list[tuple[str, tuple[str, ...], Callable]]:
         return [
@@ -521,8 +514,9 @@ def _step_maps(spec: RtmSpec) -> list[tuple[str, tuple[str, ...], Callable]]:
             for i in range(1, spec.tape_cells + 1)
         ]
 
-    move = ("move", (R_HEAD, R_INDEX), _pair_fn(R_HEAD, R_INDEX, _moving_pair_map(spec)))
-    rewrite = ("rewrite", (R_HEAD, R_ACC), _pair_fn(R_HEAD, R_ACC, _rw_pair_map(spec)))
+    n, a = spec.tape_cells, len(spec.alphabet)
+    move = ("move", (R_HEAD, R_INDEX), _pair_fn(R_HEAD, R_INDEX, _moving_perm(spec), n))
+    rewrite = ("rewrite", (R_HEAD, R_ACC), _pair_fn(R_HEAD, R_ACC, _rw_perm(spec), a))
     return [move] + wall("swap") + [rewrite] + wall("swap2")
 
 
@@ -578,37 +572,41 @@ def nominal_cycle_length(m: int) -> int:
 
 
 def _bookkeeping_maps(spec: RtmSpec, layout: RegisterLayout) -> list[tuple[str, tuple, Callable]]:
-    """V's counters, answer copy and mode changes as ``(label, registers read, fn)``."""
+    """V's counters, answer copy and mode changes as ``(label, registers read,
+    fn)``, each ``fn`` on index arrays as ``lift_gate`` describes."""
     cmax = layout.counter_max
     csize = layout.counter_size
-    final_idx = frozenset(layout.state_index[s] for s in layout.final_states)
-    accept = layout.symbol_index.get(ACCEPT_SYMBOL)
+    final_idx = [layout.state_index[s] for s in layout.final_states]
+    accept = layout.symbol_index.get(ACCEPT_SYMBOL, -1)
     rc_reg = tape_register(spec.result_cell)
 
     # counter: up in run/pad, down in unwind modes
     def counter_fn(env):
-        step = 1 if env[R_MODE] in (MODE_RUN, MODE_PAD) else -1
+        step = np.where(np.isin(env[R_MODE], (MODE_RUN, MODE_PAD)), 1, -1)
         return {R_COUNTER: (env[R_COUNTER] + step) % csize}
 
     # idle counter: up in pad, down in unwind-pad, held elsewhere. The
     # unwind-run mode must hold it (not decrement) or the next pass would
     # start with a nonzero idle counter and never leave run mode.
     def idle_fn(env):
-        step = {MODE_PAD: 1, MODE_UNPAD: -1}.get(env[R_MODE], 0)
+        step = np.where(env[R_MODE] == MODE_PAD, 1, 0) - (env[R_MODE] == MODE_UNPAD)
         return {R_IDLE: (env[R_IDLE] + step) % csize}
 
     # copy the answer: flip solution once per pass
     def solution_fn(env):
-        flip = env[R_MODE] == MODE_PAD and env[R_COUNTER] == cmax and env[rc_reg] == accept
+        flip = (env[R_MODE] == MODE_PAD) & (env[R_COUNTER] == cmax) & (env[rc_reg] == accept)
         return {R_SOLUTION: env[R_SOLUTION] ^ flip}
 
     # mode changes as controlled swaps; this order lets a pass close even
     # when the initial state is already final
     def swap_modes(a, b, cond):
-        swap = {a: b, b: a}
-        return lambda env: {R_MODE: swap.get(env[R_MODE], env[R_MODE])} if cond(env) else None
+        def fn(env):
+            mode = env[R_MODE]
+            return {R_MODE: np.where(cond(env) & np.isin(mode, (a, b)), a + b - mode, mode)}
 
-    halted = lambda env: env[R_IDLE] == 0 and env[R_HEAD] in final_idx  # noqa: E731
+        return fn
+
+    halted = lambda env: (env[R_IDLE] == 0) & np.isin(env[R_HEAD], final_idx)  # noqa: E731
     at_top = lambda env: env[R_COUNTER] == cmax  # noqa: E731
     at_zero = lambda env: env[R_COUNTER] == 0  # noqa: E731
     return [

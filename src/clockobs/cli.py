@@ -218,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to this file")
 
     p = sub.add_parser("validate", help="parse and check reversibility")
-    add_common(p)
+    p.add_argument("spec", help="machine spec file (.rtm)")
+    p.add_argument("--out", default=None, help="write output to this file")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("compile", help="dump the self-looping circuit as JSON")
@@ -282,8 +283,6 @@ def cli_dispatch(argv=None) -> int:
         return EXIT_BUDGET
     except StageError as exc:
         sys.stderr.write(f"{exc}\n")
-        if isinstance(exc.cause, BudgetExceededError):
-            return EXIT_BUDGET
         if isinstance(exc.cause, OSError):
             return EXIT_IO
         return EXIT_VALIDATION

@@ -35,7 +35,7 @@ class DimensionError(ClockObsError):
 
 
 class BudgetExceededError(ClockObsError):
-    """An orbit traversal ran out of its step budget before recurring."""
+    """Work would exceed a stated size cap or step budget."""
 
 
 class StageError(ClockObsError):

@@ -5,7 +5,8 @@ observable's orbit, samples accuracy-limited outcomes, and decides the
 machine's answer, comparing against ground truth from direct simulation.
 The compile/clock, accuracy, sampling and CSV stages are shared with the
 command line, so ``clockobs sample``/``decide``/``orbit`` run the same code.
-Every stage failure is re-raised tagged with the stage name. Reports are
+Every stage failure but a budget one is re-raised tagged with the stage
+name; a ``BudgetExceededError`` passes through as it is. Reports are
 reproducible: the same config and seed give byte-identical report files
 (wall-clock timing is kept out of the serialized report for that reason).
 """
@@ -21,7 +22,7 @@ from pathlib import Path
 from typing import Any
 
 from . import circuits, clock, metrology, rtm
-from .errors import ClockObsError, StageError
+from .errors import BudgetExceededError, ClockObsError, StageError
 
 AUTO_ACCURACY = "auto"
 
@@ -36,16 +37,12 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str | None = None
     merge_cells: bool = True
-    max_run_steps: int | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.merge_cells, bool):
             raise ValueError(f"merge_cells must be true or false, got {self.merge_cells!r}")
-        lows = {"samples_per_batch": 1, "batch_count": 1, "seed": 0, "max_run_steps": 1}
-        for name, low in lows.items():
+        for name, low in {"samples_per_batch": 1, "batch_count": 1, "seed": 0}.items():
             value = getattr(self, name)
-            if value is None and name == "max_run_steps":
-                continue  # the default budget
             if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
@@ -105,7 +102,7 @@ def _version() -> str:
 def _stage(name: str):
     try:
         yield
-    except StageError:
+    except (StageError, BudgetExceededError):
         raise
     except Exception as exc:
         raise StageError(name, exc) from exc
@@ -198,8 +195,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         circuits.check_gate_budget(spec, circuits.wrapper_layout(spec, config.merge_cells))
 
     with _stage("ground-truth"):
+        # a halting run never repeats a configuration, so it takes fewer
+        # than 2**m steps
         m = circuits.state_bits(spec)
-        budget = config.max_run_steps or 4 * 2 ** (m + 1)
+        budget = 4 * 2 ** (m + 1)
         truth = rtm.run_machine(spec, config.input_word, max_steps=budget)
         if not truth.halted:
             raise ClockObsError(
@@ -238,8 +237,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         accuracy=accuracy,
         accuracy_coarser_than_grid=accuracy > 1.0 / (grid_r * grid_s) + 1e-15,
         seed=config.seed,
-        config={  # as given, less the output directory and the run budget
-            **{k: v for k, v in asdict(config).items() if k not in ("out_dir", "max_run_steps")},
+        config={  # as given, less the output directory
+            **{k: v for k, v in asdict(config).items() if k != "out_dir"},
             "spec_path": str(config.spec_path),
         },
         timing_seconds=elapsed,

@@ -1,8 +1,11 @@
+import hashlib
 import json
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
-from oracle import all_configs
+from oracle import all_configs, random_machine
 
 from clockobs import circuits, corpus, rtm
 from clockobs.circuits import (
@@ -35,7 +38,12 @@ from clockobs.circuits import (
     tape_register,
     wrapper_layout,
 )
-from clockobs.errors import BudgetExceededError, DimensionError, PermutationError
+from clockobs.errors import (
+    BudgetExceededError,
+    ClockObsError,
+    DimensionError,
+    PermutationError,
+)
 from clockobs.rtm import StateKind, parse_rtm_spec
 
 
@@ -75,17 +83,16 @@ def fused_step(spec, config):
 
 
 def test_complete_permutation_identity_where_free():
-    universe = [(0,), (1,), (2,)]
-    perm = complete_permutation(universe, {(0,): (1,)})
-    assert perm[(2,)] == (2,)  # untouched, identity kept
-    assert perm[(0,)] == (1,)
-    assert perm[(1,)] == (0,)  # displaced, matched to the free slot
-    assert sorted(perm.values()) == sorted(universe)
+    perm = complete_permutation(3, {0: 1})
+    assert perm[2] == 2  # untouched, identity kept
+    assert perm[0] == 1
+    assert perm[1] == 0  # displaced, matched to the free slot
+    assert sorted(perm) == [0, 1, 2]
 
 
 def test_complete_permutation_rejects_collisions():
     with pytest.raises(PermutationError, match="share the image"):
-        complete_permutation([(0,), (1,), (2,)], {(0,): (2,), (1,): (2,)})
+        complete_permutation(3, {0: 2, 1: 2})
 
 
 def test_perm_gate_rejects_non_bijection():
@@ -129,6 +136,12 @@ def test_lift_gate_rejects_writes_to_unnamed_registers():
         lift_gate(layout, [R_MODE], lambda env: {R_HEAD: 0}, "stray")
 
 
+def test_lift_gate_rejects_values_out_of_register_range():
+    layout = wrapper_layout(corpus.load("flip"))
+    with pytest.raises(DimensionError, match="operation_mode = 4 is out of range"):
+        lift_gate(layout, [R_MODE], lambda env: {R_MODE: env[R_MODE] + 1}, "overflow")
+
+
 def test_lifted_gate_rides_along_registers_it_does_not_read():
     layout = wrapper_layout(corpus.load("flip"))
     gate = lift_gate(layout, [R_MODE], lambda env: {R_MODE: (env[R_MODE] + 1) % 4}, "next")
@@ -136,6 +149,57 @@ def test_lifted_gate_rides_along_registers_it_does_not_read():
     values = list(state.values)
     gate.apply_values(values)
     assert BasisState(tuple(values)) == layout.set_registers(state, {R_MODE: 0})
+
+
+def test_wrapper_calls_each_map_once(monkeypatch):
+    calls = Counter()
+
+    def counted(make_maps):
+        def make(*args):
+            return [
+                (label, regs, lambda env, label=label, fn=fn: calls.update([label]) or fn(env))
+                for label, regs, fn in make_maps(*args)
+            ]
+
+        return make
+
+    monkeypatch.setattr(circuits, "_step_maps", counted(circuits._step_maps))
+    monkeypatch.setattr(circuits, "_bookkeeping_maps", counted(circuits._bookkeeping_maps))
+    spec = corpus.load("flipwalk")
+    steps = [g.label for g in build_step_circuit(spec).gates]
+    calls.clear()
+    circuit = build_wrapper_circuit(spec)
+    bookkeeping = [g.label for g in circuit.gates[2 * len(steps):]]
+    assert calls == Counter(steps + bookkeeping)  # every label is distinct
+
+
+# sha256 of every gate's (label, fields) and int64 field_table, from
+# build_step_circuit and build_wrapper_circuit in both layouts, over 50
+# generated machines (random.Random(7)); a build that raises contributes its
+# exception class name. Recorded from the per-assignment lifting it replaced.
+GENERATED_GATE_TABLES_SHA256 = "4dcc45626d63e5907c07e22cf4cdc8814ba80ecc625d72481323ba2c3eb7bafc"
+
+
+def test_generated_machine_gate_tables_are_pinned():
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    builds = (
+        build_step_circuit,
+        lambda spec: build_wrapper_circuit(spec, merge_cells=True),
+        lambda spec: build_wrapper_circuit(spec, merge_cells=False),
+    )
+    for _ in range(50):
+        spec = random_machine(rng)
+        for build in builds:
+            try:
+                circuit = build(spec)
+            except ClockObsError as exc:
+                digest.update(type(exc).__name__.encode())
+                continue
+            for g in circuit.gates:
+                digest.update(repr((g.label, g.fields)).encode())
+                digest.update(g.field_table.astype(np.int64).tobytes())
+    assert digest.hexdigest() == GENERATED_GATE_TABLES_SHA256
 
 
 def test_merged_flipwalk_stores_a_small_fraction_of_its_wire_tables():

@@ -274,16 +274,13 @@ def test_locality_three_wire_gate_flagged_as_five():
     spec = corpus.load("flipwalk")
     layout = machine_layout(spec)
 
-    def rot(env):
-        return {
-            tape_register(1): env[tape_register(2)],
-            tape_register(2): env[tape_register(1)],
-        }
+    def ctrl_swap(env):
+        here = env["tape_index"] == 0
+        t1, t2 = env[tape_register(1)], env[tape_register(2)]
+        return {tape_register(1): np.where(here, t2, t1), tape_register(2): np.where(here, t1, t2)}
 
     gate = lift_gate(
-        layout, ["tape_index", tape_register(1), tape_register(2)],
-        lambda env: rot(env) if env["tape_index"] == 0 else None,
-        "ctrl-swap",
+        layout, ["tape_index", tape_register(1), tape_register(2)], ctrl_swap, "ctrl-swap"
     )
     report = locality_report(ForwardOperator(Circuit(layout=layout, gates=(gate,))))
     assert report.max_support == 5

@@ -172,12 +172,6 @@ def test_config_rejects_negative_seed():
         ExperimentConfig(spec_path="x", input_word="", seed=-1)
 
 
-@pytest.mark.parametrize("steps", [0, -5])
-def test_config_rejects_non_positive_max_run_steps(steps):
-    with pytest.raises(ValueError, match="max_run_steps must be >= 1"):
-        ExperimentConfig(spec_path="x", input_word="", max_run_steps=steps)
-
-
 def test_config_rejects_boolean_accuracy():
     with pytest.raises(ValueError, match="accuracy"):
         ExperimentConfig(spec_path="x", input_word="", accuracy=True)
@@ -396,10 +390,8 @@ BAD_CONFIGS = {
     "bool-samples": {"spec_path": FLIP, "input_word": "0", "samples_per_batch": True},
     "float-batches": {"spec_path": FLIP, "input_word": "0", "batch_count": 2.0},
     "string-seed": {"spec_path": FLIP, "input_word": "0", "seed": "1"},
-    "float-max-run-steps": {"spec_path": FLIP, "input_word": "0", "max_run_steps": 1.5},
     "negative-seed": {"spec_path": FLIP, "input_word": "0", "seed": -1},
-    "zero-max-run-steps": {"spec_path": FLIP, "input_word": "0", "max_run_steps": 0},
-    "negative-max-run-steps": {"spec_path": FLIP, "input_word": "0", "max_run_steps": -5},
+    "unknown-max-run-steps": {"spec_path": FLIP, "input_word": "0", "max_run_steps": 100},
 }
 
 
@@ -419,6 +411,7 @@ BAD_CONFIGS = {
         ["experiment", "--spec", FLIP, "--input", "0", "--seed", "-1"],
         ["nosuch"],
         ["sample", FLIP, "--bogus"],
+        ["validate", FLIP, "--no-merge-cells"],
         [],
         ["experiment", "--config", "unknown-key"],
         ["experiment", "--config", "bool-accuracy"],
@@ -516,6 +509,26 @@ def test_cli_over_budget_exits_3_with_one_line(argv, cap, monkeypatch, tmp_path,
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "WIDE"],
+        ["orbit", "WIDE", "--input", "0"],
+        ["sample", "WIDE", "--input", "0"],
+        ["decide", "WIDE", "--input", "0"],
+        ["experiment", "--spec", "WIDE", "--input", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_gate_cap_prints_one_budget_line_in_every_command(argv, tmp_path, capsys):
+    argv = [write_wide(tmp_path) if a == "WIDE" else a for a in argv]
+    assert cli_dispatch(argv) == EXIT_BUDGET
+    assert capsys.readouterr().err == (
+        "[budget] wrapper circuit needs 206158467488 gate-table entries, "
+        "over the compile cap 2000000\n"
+    )
 
 
 @pytest.mark.parametrize(
