@@ -391,7 +391,10 @@ BAD_CONFIGS = {
     "float-batches": {"spec_path": FLIP, "input_word": "0", "batch_count": 2.0},
     "string-seed": {"spec_path": FLIP, "input_word": "0", "seed": "1"},
     "negative-seed": {"spec_path": FLIP, "input_word": "0", "seed": -1},
-    "unknown-max-run-steps": {"spec_path": FLIP, "input_word": "0", "max_run_steps": 100},
+    # max_run_steps is no longer a config field, so each of these is an unknown key.
+    "float-max-run-steps": {"spec_path": FLIP, "input_word": "0", "max_run_steps": 1.5},
+    "zero-max-run-steps": {"spec_path": FLIP, "input_word": "0", "max_run_steps": 0},
+    "negative-max-run-steps": {"spec_path": FLIP, "input_word": "0", "max_run_steps": -5},
 }
 
 
