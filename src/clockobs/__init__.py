@@ -51,7 +51,6 @@ from .metrology import (
     draw_batch,
     filter_round,
     phase_estimate_distribution,
-    sample_exact,
     sample_phase_estimate,
 )
 from .rtm import (

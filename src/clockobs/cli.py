@@ -114,17 +114,12 @@ def _cmd_sample(args) -> int:
 def _cmd_decide(args) -> int:
     spec, batch = _draw(args)
     decision = metrology.decide(batch)
-    acc = batch.model
     _emit(
         {
             "machine": spec.name,
             "input": args.input,
             "seed": args.seed,
-            "model": {
-                "delta": acc.delta,
-                "success_prob": acc.success_prob,
-                "failure_mode": acc.failure_mode,
-            },
+            "model": asdict(batch.model),
             "grid": {"r": batch.r, "s": batch.s},
             **asdict(decision),
         },
@@ -187,11 +182,13 @@ def _at_least(low: int):
 
 
 def _accuracy(text: str) -> float | str:
-    """argparse type for experiment's --accuracy: 'auto' or a number."""
+    """argparse type for --accuracy: 'auto' or a positive finite number."""
+    if text == harness.AUTO_ACCURACY:
+        return text
     try:
-        return text if text == harness.AUTO_ACCURACY else float(text)
+        return harness.resolve_accuracy(float(text), 1, 1)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number or 'auto', got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a number > 0 or 'auto', got {text!r}") from None
 
 
 class _CommandParser(argparse.ArgumentParser):
@@ -239,14 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, needs_input=True)
     p.add_argument("--samples", type=_at_least(1), default=200)
     p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--accuracy", default="auto", help="float or 'auto' (=1/(r*s))")
+    p.add_argument("--accuracy", type=_accuracy, default="auto", help="float or 'auto' (=1/(r*s))")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("decide", help="sample and run the parity decision")
     add_common(p, needs_input=True)
     p.add_argument("--samples", type=_at_least(1), default=200)
     p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--accuracy", default="auto")
+    p.add_argument("--accuracy", type=_accuracy, default="auto")
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("phase-estimate", help="exact ancilla readout distribution")

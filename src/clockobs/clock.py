@@ -130,9 +130,14 @@ class SpectralModel:
         return np.sort(np.array(vals))
 
 
-def cycle_eigenvalue(j: int, d: int) -> float:
-    """cos(2*pi*j/d), the eigenvalue of the symmetrized d-cycle at index j."""
-    return math.cos(2.0 * math.pi * j / d)
+def cycle_eigenvalue(j: int | np.ndarray, d: int) -> float | np.ndarray:
+    """cos(2*pi*j/d), the eigenvalue of the symmetrized d-cycle at index j: a
+    float, or an array for a 1-D index array. Each distinct index goes through
+    ``math.cos``, as numpy's vectorized cos may differ in the last place."""
+    if np.ndim(j) == 0:
+        return math.cos(2.0 * math.pi * j / d)
+    distinct, inverse = np.unique(j, return_inverse=True)
+    return np.array([math.cos(2.0 * math.pi * k / d) for k in distinct.tolist()])[inverse]
 
 
 def spectral_model(d: int) -> SpectralModel:

@@ -21,6 +21,8 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from . import circuits, clock, metrology, rtm
 from .errors import BudgetExceededError, ClockObsError, StageError
 
@@ -48,8 +50,6 @@ class ExperimentConfig:
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
         metrology.check_sample_budget(self.samples_per_batch * self.batch_count)
-        if isinstance(self.accuracy, str) and self.accuracy != AUTO_ACCURACY:
-            raise ValueError(f"accuracy must be a positive number or 'auto', got {self.accuracy!r}")
         resolve_accuracy(self.accuracy, 1, 1)
 
     @classmethod
@@ -115,16 +115,12 @@ def batch_seed(seed: int, batch_index: int) -> list[int]:
 
 def resolve_accuracy(value: float | str, r: int, s: int) -> float:
     """Accuracy delta for a setting: "auto" is the grid spacing 1/(r*s);
-    anything else must be a positive finite number, or a string spelling one."""
+    anything else must be a positive finite number."""
     if value == AUTO_ACCURACY:
         return 1.0 / (r * s)
-    try:
-        delta = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
-        delta = math.nan
-    if not (math.isfinite(delta) and delta > 0):
+    if type(value) not in (int, float) or not (math.isfinite(value) and value > 0):
         raise ValueError(f"accuracy must be a positive number or 'auto', got {value!r}")
-    return delta
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -160,20 +156,19 @@ def draw_samples(
     with _stage("sample"):
         r, s, d = clocked.r_nominal, clocked.circuit.s, clocked.orbit.dimension
         acc_model = metrology.AccuracyModel(delta=accuracy)
-        values: list[float] = []
-        for key in seeds:
-            values.extend(metrology.draw_batch(acc_model, d, n, seed=key, r=r, s=s).values)
-        return metrology.SampleBatch(tuple(values), acc_model, r, s)
+        values = [metrology.draw_batch(acc_model, d, n, seed=key, r=r, s=s).values for key in seeds]
+        return metrology.SampleBatch(np.concatenate(values), acc_model, r, s, batches=len(seeds))
 
 
 def samples_csv(batch: metrology.SampleBatch) -> str:
     """One row per sample: trial, raw value, kept flag, grid index, parity."""
-    lines = ["trial,raw_value,filtered,j,parity"]
-    for trial, value in enumerate(batch.values):
-        fr = metrology.filter_round(value, batch.r, batch.s)
-        kept = "0,," if fr is None else f"1,{fr[0]},{fr[1]}"
-        lines.append(f"{trial},{value!r},{kept}")
-    return "\n".join(lines) + "\n"
+    kept, j = metrology.filter_round(batch.values, batch.r, batch.s)
+    # memoryviews hand out Python floats, bools and ints a row at a time, so
+    # no per-sample list is held beside the text
+    rows = enumerate(zip(batch.values.data, kept.data, j.data))
+    return "trial,raw_value,filtered,j,parity\n" + "".join(
+        f"{t},{v!r},1,{k},{k % 2}\n" if keep else f"{t},{v!r},0,,\n" for t, (v, keep, k) in rows
+    )
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

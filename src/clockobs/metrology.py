@@ -30,7 +30,8 @@ MIN_FILTERED = 32
 PROBABILITY_GAP = 1.0 / 8.0  # 3/8 - 1/4
 PHASE_ANCILLA_CAP = 14
 # Most measurements one run draws (``--samples``, samples_per_batch * batch_count,
-# phase-estimate ``--samples``); at the cap a batch holds about 64 MB of floats.
+# phase-estimate ``--samples``); at the cap a batch holds 16 MB of floats, and a
+# ``decide`` run peaks at about 130 MB RSS.
 MAX_SAMPLES = 2_000_000
 
 FAILURE_MODES = ("uniform_full_range", "adversarial_offset")
@@ -58,10 +59,19 @@ class AccuracyModel:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    values: tuple[float, ...]
+    """Measurement outcomes, stored as a read-only float64 array. ``batches``
+    equal runs of consecutive values were drawn under separate seeds."""
+
+    values: np.ndarray
     model: AccuracyModel
     r: int  # the decision grid is pi/(r*s)
     s: int
+    batches: int = 1
+
+    def __post_init__(self) -> None:
+        values = np.array(self.values, dtype=np.float64)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -72,6 +82,8 @@ class DecisionResult:
     threshold: float
     confidence_bound: float
     inconclusive: bool
+    batch_kept: tuple[int, ...]  # kept count of each pooled batch
+    batch_odd_fraction: tuple[float, ...]
 
 
 def check_sample_budget(n: int) -> None:
@@ -80,29 +92,22 @@ def check_sample_budget(n: int) -> None:
         raise BudgetExceededError(f"{n} samples exceed the cap {MAX_SAMPLES}")
 
 
-def sample_exact(d: int, rng: np.random.Generator) -> float:
-    """Draw an eigenvalue of the d-cycle with its exact outcome probability.
-
-    A uniform position u on the d-cycle gives cos(2*pi*u/d), which reproduces
-    the (1/d, 2/d) weights because u and d-u fold onto the same value.
-    """
-    return cycle_eigenvalue(int(rng.integers(d)), d)
-
-
-def draw_measurement(
-    acc: AccuracyModel, d: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """One accuracy-limited measurement; returns (outcome, true eigenvalue)."""
-    true = sample_exact(d, rng)
-    if rng.random() < acc.success_prob:
-        noise = rng.uniform(-acc.delta, acc.delta) if acc.delta > 0 else 0.0
-        return true + noise, true
+def draw_measurements(
+    acc: AccuracyModel, d: int, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """n accuracy-limited measurements on the d-cycle, as the arrays (outcomes,
+    true eigenvalues). A uniform position u gives the true value cos(2*pi*u/d)
+    with its exact (1/d, 2/d) weight, because u and d-u fold onto one value."""
+    true = cycle_eigenvalue(rng.integers(d, size=n), d)
+    failed = rng.random(n) >= acc.success_prob
+    outcomes = true + rng.uniform(-acc.delta, acc.delta, n)
     lo, hi = -1.0 - acc.delta, 1.0 + acc.delta
     if acc.failure_mode == "uniform_full_range":
-        return rng.uniform(lo, hi), true
-    # adversarial offset: land just outside the accuracy window
-    sign = 1.0 if rng.random() < 0.5 else -1.0
-    return min(hi, max(lo, true + sign * 2.0 * acc.delta)), true
+        outcomes[failed] = rng.uniform(lo, hi, np.count_nonzero(failed))
+    else:  # adversarial offset: land just outside the accuracy window
+        sign = np.where(rng.random(np.count_nonzero(failed)) < 0.5, 1.0, -1.0)
+        outcomes[failed] = np.clip(true[failed] + sign * 2.0 * acc.delta, lo, hi)
+    return outcomes, true
 
 
 def draw_batch(acc: AccuracyModel, d: int, n: int, seed, r: int, s: int) -> SampleBatch:
@@ -110,26 +115,20 @@ def draw_batch(acc: AccuracyModel, d: int, n: int, seed, r: int, s: int) -> Samp
     the batch."""
     if n < 1:
         raise ValueError(f"batch size must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    return SampleBatch(tuple(draw_measurement(acc, d, rng)[0] for _ in range(n)), acc, r, s)
+    outcomes, _ = draw_measurements(acc, d, n, np.random.default_rng(seed))
+    return SampleBatch(outcomes, acc, r, s)
 
 
-def filter_round(value: float, r: int, s: int) -> tuple[int, int] | None:
-    """Band-filter and round one outcome.
-
-    Returns None when |value| exceeds 1/sqrt(2). Otherwise clamps into
-    [-1, 1], takes the principal arccos, and returns (j, parity) where j
-    minimizes |arccos(value) - pi*j/(r*s)|.
-    """
+def filter_round(values, r: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Band-filter and round outcomes into the arrays (kept, j): an outcome is
+    kept when |value| <= 1/sqrt(2), and j minimizes |arccos(value) - pi*j/(r*s)|
+    for the value clamped into [-1, 1]. The parity is j % 2."""
     if r < 1 or s < 1:
         raise ValueError("r and s must be >= 1")
-    if abs(value) > FILTER_BAND:
-        return None
-    clamped = min(1.0, max(-1.0, value))
-    theta = math.acos(clamped)
-    step = math.pi / (r * s)
-    j = int(round(theta / step))
-    return j, j % 2
+    values = np.asarray(values, dtype=np.float64)
+    theta = np.arccos(np.clip(values, -1.0, 1.0))
+    j = np.rint(theta / (math.pi / (r * s))).astype(np.int64)
+    return np.abs(values) <= FILTER_BAND, j
 
 
 def chernoff_confidence(filtered_count: int, gap: float) -> float:
@@ -144,21 +143,24 @@ def chernoff_confidence(filtered_count: int, gap: float) -> float:
 
 def decide(batch: SampleBatch) -> DecisionResult:
     """Filter, round to the batch's grid, and threshold the odd fraction of
-    the grid indices."""
-    if not batch.values:
+    the grid indices; also tallies each pooled batch on its own."""
+    if not batch.values.size:
         raise ValueError("batch is empty")
-    r, s = batch.r, batch.s
-    parities = [fr[1] for fr in (filter_round(v, r, s) for v in batch.values) if fr is not None]
-    kept, odd = len(parities), sum(parities)
-    odd_fraction = odd / kept if kept else 0.0
-    verdict = int(odd_fraction > DECISION_THRESHOLD)
+    kept, j = filter_round(batch.values, batch.r, batch.s)
+    kept_per = kept.reshape(batch.batches, -1).sum(axis=1)
+    odd_per = (kept & (j % 2 == 1)).reshape(batch.batches, -1).sum(axis=1)
+    n_kept, n_odd = int(kept_per.sum()), int(odd_per.sum())
+    odd_fraction = n_odd / n_kept if n_kept else 0.0
+    per_batch = zip(odd_per.tolist(), kept_per.tolist())
     return DecisionResult(
-        verdict=verdict,
-        filtered_count=kept,
+        verdict=int(odd_fraction > DECISION_THRESHOLD),
+        filtered_count=n_kept,
         odd_fraction=odd_fraction,
         threshold=DECISION_THRESHOLD,
-        confidence_bound=chernoff_confidence(kept, PROBABILITY_GAP),
-        inconclusive=kept < MIN_FILTERED,
+        confidence_bound=chernoff_confidence(n_kept, PROBABILITY_GAP),
+        inconclusive=n_kept < MIN_FILTERED,
+        batch_kept=tuple(kept_per.tolist()),
+        batch_odd_fraction=tuple(o / k if k else 0.0 for o, k in per_batch),
     )
 
 

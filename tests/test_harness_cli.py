@@ -18,7 +18,7 @@ from clockobs.cli import (
 )
 from clockobs.errors import StageError
 from clockobs.harness import ExperimentConfig, batch_seed, resolve_accuracy, run_experiment
-from clockobs.metrology import PhaseEstimationSetup, sample_phase_estimate
+from clockobs.metrology import PhaseEstimationSetup, filter_round, sample_phase_estimate
 
 
 def flip_config(tmp_path, **overrides):
@@ -105,6 +105,34 @@ def test_experiment_report_is_byte_identical_across_runs(tmp_path):
     assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
 
 
+def _leaves(value):
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _leaves(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def test_samples_csv_agrees_with_the_decision(tmp_path):
+    config = flip_config(tmp_path, out_dir=str(tmp_path), samples_per_batch=300, batch_count=4)
+    report = run_experiment(config)
+    rows = [line.split(",") for line in (tmp_path / "samples.csv").read_text().splitlines()[1:]]
+    values = np.array([float(row[1]) for row in rows])
+    kept, j = filter_round(values, report.r_nominal, report.machine["gate_count"])
+    assert [int(row[0]) for row in rows] == list(range(1200))
+    assert [row[2] == "1" for row in rows] == kept.tolist()
+    assert sum(kept) == report.decision.filtered_count
+    assert [int(row[3]) for row in rows if row[2] == "1"] == j[kept].tolist()
+    assert [int(row[4]) for row in rows if row[2] == "1"] == (j[kept] % 2).tolist()
+    assert all(row[3:] == ["", ""] for row in rows if row[2] == "0")
+    assert kept.reshape(4, 300).sum(axis=1).tolist() == list(report.decision.batch_kept)
+    # a JSON value in the report is a plain Python scalar, never a numpy one
+    assert {type(v) for v in _leaves(report.to_json_dict())} <= {int, float, bool, str}
+
+
 def test_experiment_seed_changes_samples(tmp_path):
     r1 = run_experiment(flip_config(tmp_path, seed=1))
     r2 = run_experiment(flip_config(tmp_path, seed=2))
@@ -186,9 +214,10 @@ def test_config_file_names_unknown_keys(tmp_path):
 
 def test_resolve_accuracy():
     assert resolve_accuracy("auto", 4, 5) == 1 / 20
-    assert resolve_accuracy("0.5", 4, 5) == 0.5
+    assert resolve_accuracy(0.5, 4, 5) == 0.5
     assert resolve_accuracy(2, 4, 5) == 2.0
-    for bad in ("abc", "0", -1.0, True, float("nan"), "inf", None):
+    # a string other than "auto" is refused; the CLI parses numbers itself
+    for bad in ("0.5", "abc", "0", -1.0, 0, True, float("nan"), float("inf"), "inf", None):
         with pytest.raises(ValueError):
             resolve_accuracy(bad, 4, 5)
 
@@ -403,6 +432,12 @@ BAD_CONFIGS = {
     [
         ["orbit", FLIP, "--input", "2"],
         ["decide", FLIP, "--input", "0", "--accuracy", "abc"],
+        ["sample", FLIP, "--input", "0", "--accuracy", "-1"],
+        ["decide", FLIP, "--input", "0", "--accuracy", "0"],
+        ["sample", FLIP, "--input", "0", "--accuracy", "nan"],
+        ["decide", FLIP, "--input", "0", "--accuracy", "inf"],
+        ["experiment", "--spec", FLIP, "--input", "0", "--accuracy", "-1"],
+        ["experiment", "--spec", FLIP, "--input", "0", "--accuracy", "abc"],
         ["decide", FLIP, "--input", "0", "--samples", "0"],
         ["sample", FLIP, "--input", "0", "--samples", "0"],
         ["phase-estimate", "--phi", "1/3", "--m", "20"],
@@ -551,6 +586,20 @@ def test_cli_sample_counts_fail_before_compile(argv, code, monkeypatch, capsys):
     monkeypatch.setattr("clockobs.circuits.build_wrapper_circuit", no_compile)
     assert cli_dispatch(argv) == code
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["sample", "decide", "experiment"])
+@pytest.mark.parametrize("accuracy", ["abc", "-1", "0", "nan", "inf"])
+def test_cli_bad_accuracy_fails_before_compile(command, accuracy, monkeypatch, capsys):
+    def no_compile(*args, **kwargs):
+        raise AssertionError("compiled before the accuracy was checked")
+
+    monkeypatch.setattr("clockobs.circuits.build_wrapper_circuit", no_compile)
+    spec = ["--spec", FLIP] if command == "experiment" else [FLIP]
+    argv = [command, *spec, "--input", "0", "--accuracy", accuracy]
+    assert cli_dispatch(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "--accuracy" in err and len(err.strip().splitlines()) == 1
 
 
 def test_spectrum_cap_bounds_only_the_spectrum_command(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -17,10 +18,9 @@ from clockobs.metrology import (
     chernoff_confidence,
     decide,
     draw_batch,
-    draw_measurement,
+    draw_measurements,
     filter_round,
     phase_estimate_distribution,
-    sample_exact,
     sample_phase_estimate,
 )
 
@@ -29,34 +29,21 @@ from clockobs.metrology import (
 # exact sampling
 
 
-def test_sample_exact_d1_is_always_one():
-    model = spectral_model(1)
-    rng = np.random.default_rng(0)
-    assert all(sample_exact(model.dimension, rng) == 1.0 for _ in range(50))
-
-
-def test_sample_exact_d4_frequencies():
-    model = spectral_model(4)
-    rng = np.random.default_rng(7)
-    n = 100_000
-    counts = Counter(round(sample_exact(model.dimension, rng), 9) for _ in range(n))
-    for value, p in [(1.0, 0.25), (0.0, 0.5), (-1.0, 0.25)]:
-        sigma = math.sqrt(p * (1 - p) / n)
-        assert abs(counts[value] / n - p) <= 3 * sigma
-
-
-def test_sample_exact_d256_chi_square():
-    d = 256
+@pytest.mark.parametrize("d,seed,n", [(1, 0, 50), (4, 7, 100_000), (256, 11, 100_000)])
+def test_true_eigenvalues_follow_the_exact_weights(d, seed, n):
+    # the (1/d, 2/d) line weights, by a chi-square test on the true values
     model = spectral_model(d)
-    rng = np.random.default_rng(11)
-    n = 100_000
-    counts = Counter(round(sample_exact(model.dimension, rng), 9) for _ in range(n))
-    observed, expected = [], []
-    for line in model.lines:
-        observed.append(counts[round(line.eigenvalue, 9)])
-        expected.append(float(line.probability) * n)
-    chi2, p_value = stats.chisquare(observed, expected)
-    assert p_value > 0.001
+    _, true = draw_measurements(AccuracyModel(delta=0.0), d, n, np.random.default_rng(seed))
+    weights = {round(line.eigenvalue, 9): float(line.probability) for line in model.lines}
+    counts = Counter(np.round(true, 9).tolist())
+    assert set(counts) <= set(weights)  # d = 1: every value is exactly 1.0
+    if len(weights) > 1:
+        observed = [counts[value] for value in weights]
+        expected = [p * n for p in weights.values()]
+        assert stats.chisquare(observed, expected).pvalue > 0.001
+    if len(weights) <= 3:  # few lines: each frequency within 3 sigma too
+        for value, p in weights.items():
+            assert abs(counts[value] / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +62,10 @@ def test_accuracy_model_validation():
 def test_zero_delta_certain_success_reproduces_exact_sampler():
     model = spectral_model(8)
     acc = AccuracyModel(delta=0.0, success_prob=1.0)
-    out = [draw_measurement(acc, model.dimension, np.random.default_rng(3))[0] for _ in range(20)]
+    out, true = draw_measurements(acc, model.dimension, 20, np.random.default_rng(3))
     exact = {round(l.eigenvalue, 12) for l in model.lines}
-    assert all(round(v, 12) in exact for v in out)
+    assert np.array_equal(out, true)
+    assert all(round(v, 12) in exact for v in out.tolist())
 
 
 @pytest.mark.parametrize("failure_mode", ["uniform_full_range", "adversarial_offset"])
@@ -89,11 +77,8 @@ def test_accuracy_window_contract(failure_mode, delta):
     acc = AccuracyModel(delta=delta, failure_mode=failure_mode)
     rng = np.random.default_rng(2024)
     n = 100_000
-    hits = 0
-    for _ in range(n):
-        outcome, true = draw_measurement(acc, model.dimension, rng)
-        if abs(outcome - true) <= delta + 1e-12:
-            hits += 1
+    outcome, true = draw_measurements(acc, model.dimension, n, rng)
+    hits = np.count_nonzero(np.abs(outcome - true) <= delta + 1e-12)
     sigma = math.sqrt(0.75 * 0.25 / n)
     assert hits / n >= 0.75 - 3 * sigma
 
@@ -103,12 +88,9 @@ def test_outcomes_cluster_near_eigenvalues_d8():
     acc = AccuracyModel(delta=0.01)
     rng = np.random.default_rng(5)
     n = 20_000
-    eigs = [l.eigenvalue for l in model.lines]
-    near = 0
-    for _ in range(n):
-        out, _ = draw_measurement(acc, model.dimension, rng)
-        if any(abs(out - e) <= 0.01 + 1e-12 for e in eigs):
-            near += 1
+    eigs = np.array([l.eigenvalue for l in model.lines])
+    out, _ = draw_measurements(acc, model.dimension, n, rng)
+    near = np.count_nonzero((np.abs(out[:, None] - eigs) <= 0.01 + 1e-12).any(axis=1))
     sigma = math.sqrt(0.75 * 0.25 / n)
     assert near / n >= 0.75 - 3 * sigma
 
@@ -117,9 +99,8 @@ def test_outcomes_bounded_by_extended_range():
     model = spectral_model(4)
     acc = AccuracyModel(delta=0.2)
     rng = np.random.default_rng(9)
-    for _ in range(5000):
-        out, _ = draw_measurement(acc, model.dimension, rng)
-        assert -1.2 - 1e-12 <= out <= 1.2 + 1e-12
+    out, _ = draw_measurements(acc, model.dimension, 5000, rng)
+    assert np.all((-1.2 - 1e-12 <= out) & (out <= 1.2 + 1e-12))
 
 
 def test_batches_reproducible_by_seed():
@@ -128,8 +109,20 @@ def test_batches_reproducible_by_seed():
     a = draw_batch(acc, model.dimension, 64, seed=42, r=4, s=8)
     b = draw_batch(acc, model.dimension, 64, seed=42, r=4, s=8)
     c = draw_batch(acc, model.dimension, 64, seed=43, r=4, s=8)
-    assert a.values == b.values
-    assert a.values != c.values
+    assert np.array_equal(a.values, b.values)
+    assert not np.array_equal(a.values, c.values)
+
+
+def test_sample_batch_values_are_read_only():
+    source = np.array([0.1, 0.2, 0.3, 0.4])
+    batch = SampleBatch(source, AccuracyModel(delta=0.0), 2, 2, batches=2)
+    assert batch.values.dtype == np.float64
+    with pytest.raises(ValueError):
+        batch.values[0] = 1.0
+    source[0] = 1.0  # the batch holds its own copy
+    assert batch.values[0] == 0.1
+    drawn = draw_batch(AccuracyModel(delta=0.01), 8, 16, seed=1, r=2, s=2)
+    assert not drawn.values.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -137,39 +130,41 @@ def test_batches_reproducible_by_seed():
 
 
 def test_filter_discards_out_of_band():
-    assert filter_round(0.9, 2, 2) is None
-    assert filter_round(-0.9, 2, 2) is None
-    assert filter_round(FILTER_BAND, 2, 2) is not None  # boundary kept
+    kept, _ = filter_round([0.9, -0.9, FILTER_BAND], 2, 2)
+    assert kept.tolist() == [False, False, True]  # boundary kept
 
 
 def test_filter_round_grid_examples():
-    # grid step pi/4 when r*s = 4
-    j, parity = filter_round(0.0, 2, 2)
-    assert (j, parity) == (2, 0)
-    # arccos(0.68) = 0.823034 = 1.0479 grid steps -> index 1, odd
-    j, parity = filter_round(0.68, 2, 2)
-    assert (j, parity) == (1, 1)
+    # grid step pi/4 when r*s = 4; arccos(0.68) = 0.823034 = 1.0479 grid
+    # steps -> index 1, odd
+    kept, j = filter_round([0.0, 0.68], 2, 2)
+    assert kept.tolist() == [True, True]
+    assert j.tolist() == [2, 1]
+    assert (j % 2).tolist() == [0, 1]
 
 
 def test_filter_round_clamps_numeric_overshoot():
-    out = filter_round(0.7071067811865478, 1, 4)  # just above 1/sqrt(2)
-    assert out is None or out[0] >= 0  # never raises
+    values = [0.7071067811865478, 1.2, -1.2]  # just above 1/sqrt(2), then out of range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # arccos of an unclamped value would warn
+        kept, j = filter_round(values, 1, 4)
+    assert not kept.any()
+    assert j.tolist() == [1, 0, 4]
 
 
 def test_filter_round_rejects_bad_grid():
     with pytest.raises(ValueError):
-        filter_round(0.0, 0, 4)
+        filter_round([0.0], 0, 4)
 
 
 def test_exact_even_grid_points_give_even_indices():
     r, s = 6, 5
     d = 2 * r * s
-    for j in range(0, d // 2 + 1, 2):
-        value = math.cos(2 * math.pi * j / d)
-        if abs(value) > FILTER_BAND:
-            continue
-        got = filter_round(value, r, s)
-        assert got == (j, 0)
+    grid = np.arange(0, d // 2 + 1, 2)
+    values = np.cos(2 * np.pi * grid / d)
+    kept, j = filter_round(values, r, s)
+    assert kept.any()
+    assert np.array_equal(j[kept], grid[kept])
 
 
 def test_accuracy_one_over_t_rounds_every_inband_value_correctly():
@@ -178,15 +173,13 @@ def test_accuracy_one_over_t_rounds_every_inband_value_correctly():
     for r, s in [(14, 15), (30, 15), (126, 15), (510, 19)]:
         delta = 1.0 / (r * s)
         d = 2 * r * s
-        for j in range(d // 2 + 1):
-            value = math.cos(2 * math.pi * j / d)
-            if abs(value) > FILTER_BAND:
-                continue
-            for noisy in (value - delta, value + delta):
-                if abs(noisy) > FILTER_BAND:
-                    continue  # pushed out of band: filtered, not misrounded
-                got = filter_round(noisy, r, s)
-                assert got is not None and got[0] == j
+        grid = np.arange(d // 2 + 1)
+        values = np.cos(2 * np.pi * grid / d)
+        in_band = np.abs(values) <= FILTER_BAND
+        for noisy in (values - delta, values + delta):
+            # pushed out of band: filtered, not misrounded
+            kept, j = filter_round(noisy, r, s)
+            assert np.array_equal(j[in_band & kept], grid[in_band & kept])
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +187,7 @@ def test_accuracy_one_over_t_rounds_every_inband_value_correctly():
 
 
 def _batch_from_values(values, r, s):
-    return SampleBatch(values=tuple(values), model=AccuracyModel(delta=0.0), r=r, s=s)
+    return SampleBatch(values=values, model=AccuracyModel(delta=0.0), r=r, s=s)
 
 
 def test_decide_all_even_grid_values_is_reject():
@@ -235,6 +228,19 @@ def test_decide_rejecting_instance():
     result = decide(batch)
     assert result.verdict == 0
     assert result.odd_fraction <= 1.0 / 4.0 + 0.05
+
+
+def test_decide_tallies_each_pooled_batch():
+    r, s = 30, 15
+    acc = AccuracyModel(delta=1.0 / (r * s))
+    parts = [draw_batch(acc, 2 * r * s, 300, seed=[5, b], r=r, s=s) for b in range(4)]
+    pooled = decide(SampleBatch(np.concatenate([p.values for p in parts]), acc, r, s, batches=4))
+    alone = [decide(p) for p in parts]
+    assert pooled.batch_kept == tuple(a.filtered_count for a in alone)
+    assert pooled.batch_odd_fraction == tuple(a.odd_fraction for a in alone)
+    assert pooled.filtered_count == sum(pooled.batch_kept)
+    assert {type(k) for k in pooled.batch_kept} == {int}
+    assert {type(f) for f in pooled.batch_odd_fraction} == {float}
 
 
 def test_decide_small_batch_is_inconclusive():
@@ -289,11 +295,9 @@ def _odd_fraction_pooled(d, r, s, batches, per_batch, seed0):
     odd = kept = 0
     for b in range(batches):
         batch = draw_batch(acc, model.dimension, per_batch, seed=[seed0, b], r=r, s=s)
-        for v in batch.values:
-            fr = filter_round(v, r, s)
-            if fr is not None:
-                kept += 1
-                odd += fr[1]
+        keep, j = filter_round(batch.values, r, s)
+        kept += np.count_nonzero(keep)
+        odd += np.count_nonzero(j[keep] % 2)
     return odd / kept, kept
 
 

@@ -1,10 +1,17 @@
 """Byte-level pins of outputs that refactors must not change.
 
-The digests were captured from an implementation that derived the wrapper's
-payload separately from the step circuit, ran its own pipeline in ``cli``
-and stored every gate as a wire-level table, so they also show that building
-V from U's maps, sharing the harness stages and storing each gate as a table
-over the registers it reads changed no output.
+The dump, ``orbit`` and ``spectrum`` digests were captured from an
+implementation that derived the wrapper's payload separately from the step
+circuit, ran its own pipeline in ``cli``, stored every gate as a wire-level
+table and drew each measurement with its own scalar calls, so they also show
+that building V from U's maps, sharing the harness stages, storing each gate
+as a table over the registers it reads and drawing measurements as arrays
+changed none of those outputs.
+
+The ``sample``/``decide`` stdout and experiment digests were re-captured once
+when the sampler began drawing whole batches as arrays: one seed then yields
+a different random stream, and the report gained per-batch kept counts and
+odd fractions.
 """
 
 import contextlib
@@ -45,9 +52,9 @@ def test_wrapper_dump_digest(name, merged):
 CLI_STDOUT = {
     ("orbit", "--input", "1"): "5d3ae01b629aa69cf944f098f3e515d38acaa5914c8d34acc3ecd149fae89b9e",
     ("sample", "--input", "0", "--samples", "20", "--seed", "4"):
-        "920695f24d52f2dbf03c710efd259dde6555b12c2eba0f5e4a4d39b1d0348944",
+        "b8d914fe27c27b7011df16ffa55f3a17144da48c25f2e69f82477ed6b3c7ec33",
     ("decide", "--input", "0", "--samples", "400", "--seed", "4"):
-        "d16b9f6ca42bbf818e09a07194d6373a984b64e8973c4b4744fe915d446ec713",
+        "0194bac430200810ad30ec12f8179a16080670f8b01e4ae1762da6c30a18fca5",
 }
 
 
@@ -58,6 +65,20 @@ def test_cli_stdout_digest(argv):
     with contextlib.redirect_stdout(out):
         assert cli_dispatch([command, str(corpus.path("flip")), *options]) == EXIT_OK
     assert sha256(out.getvalue()) == CLI_STDOUT[argv]
+
+
+SPECTRUM_STDOUT = {
+    "4": "6d276895f750a557ab1093ccaa95e329168f6de53ee6c0889bd7a6f407206e89",
+    "1000": "1ca70a20b369530c7aa9abd1f4a195b5d3f62d639c8f68876a28680cb2fdf953",
+}
+
+
+@pytest.mark.parametrize("d", list(SPECTRUM_STDOUT))
+def test_spectrum_stdout_digest(d):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_dispatch(["spectrum", "--d", d]) == EXIT_OK
+    assert sha256(out.getvalue()) == SPECTRUM_STDOUT[d]
 
 
 def test_experiment_output_digests(tmp_path):
@@ -73,8 +94,8 @@ def test_experiment_output_digests(tmp_path):
     run_experiment(config)
     # the report echoes the spec path, which depends on the checkout
     report = (tmp_path / "report.json").read_text(encoding="utf-8").replace(spec_path, "SPEC")
-    assert sha256(report) == "983122c4fd6a9da0dbd9f9f32f9dc01ef557613005e822199d2d3cd72f6d4245"
+    assert sha256(report) == "3163c68c2e8164dce83ea7b1dab8fd01eb9565ffcc1ea085a02921b502c60214"
     assert (
         sha256((tmp_path / "samples.csv").read_bytes())
-        == "462af3b2e17f3026996686fe58fef0e00cc8f6a3afc6e1072376827106a09e46"
+        == "24bbb27a84696f65a503f880b8def5eea6a7a99af0c8ae2d776f95195d778f76"
     )
