@@ -46,7 +46,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, DimensionError, PermutationError
-from .rtm import ACCEPT_SYMBOL, RtmSpec, StateKind
+from .rtm import ACCEPT_SYMBOL, MachineConfig, RtmSpec, StateKind
+from .rtm import check_config_budget, initial_config
 
 MODE_RUN, MODE_PAD, MODE_UNPAD, MODE_UNRUN = 0, 1, 2, 3
 
@@ -101,19 +102,15 @@ class RegisterLayout:
 
     ``slots`` maps each register name to its (wire, field) position. ``m`` is
     ceil(log2) of the state-space size of the registers the step circuit acts
-    on (head, tape_index, accumulator, tape).
+    on (head, tape_index, accumulator, tape). Register values encode states
+    and symbols by their position in ``spec``.
     """
 
     wires: tuple[Wire, ...]
     slots: dict[str, tuple[int, int]]
     m: int
     merged: bool
-    state_ids: tuple[str, ...]
-    alphabet: tuple[str, ...]
-    n_cells: int
-    result_cell: int
-    initial_state: str
-    final_states: frozenset[str]
+    spec: RtmSpec
 
     @property
     def counter_size(self) -> int:
@@ -122,14 +119,6 @@ class RegisterLayout:
     @property
     def counter_max(self) -> int:
         return self.counter_size - 1
-
-    @property
-    def state_index(self) -> dict[str, int]:
-        return {s: i for i, s in enumerate(self.state_ids)}
-
-    @property
-    def symbol_index(self) -> dict[str, int]:
-        return {s: i for i, s in enumerate(self.alphabet)}
 
     def wire_dims(self) -> tuple[int, ...]:
         return tuple(w.dimension for w in self.wires)
@@ -159,23 +148,17 @@ class RegisterLayout:
     def zero_state(self) -> BasisState:
         return BasisState((0,) * len(self.wires))
 
+    def basis_state(self, config: MachineConfig) -> BasisState:
+        """Machine registers set to ``config``, everything else zero."""
+        spec = self.spec
+        updates = {R_HEAD: spec.state_index[config.head_state], R_INDEX: config.tape_index - 1}
+        for cell, sym in enumerate(config.tape, start=1):
+            updates[tape_register(cell)] = spec.symbol_index[sym]
+        return self.set_registers(self.zero_state(), updates)
+
     def initial_basis_state(self, input_word: Sequence[str] | str) -> BasisState:
         """Machine registers loaded with the input, everything else zero."""
-        word = list(input_word)
-        if len(word) > self.n_cells:
-            raise DimensionError(
-                f"input of length {len(word)} exceeds {self.n_cells} tape cells"
-            )
-        sym = self.symbol_index
-        updates = {R_HEAD: self.state_index[self.initial_state], R_INDEX: 0}
-        for cell in range(1, self.n_cells + 1):
-            s = word[cell - 1] if cell <= len(word) else self.alphabet[0]
-            if s not in sym:
-                raise DimensionError(
-                    f"input symbol {s!r} is not in the alphabet {' '.join(self.alphabet)}"
-                )
-            updates[tape_register(cell)] = sym[s]
-        return self.set_registers(self.zero_state(), updates)
+        return self.basis_state(initial_config(self.spec, input_word))
 
 
 class PermGate:
@@ -278,6 +261,7 @@ def apply_circuit(circuit: Circuit, state: BasisState) -> BasisState:
 # layouts
 
 def _machine_field_list(spec: RtmSpec) -> list[tuple[str, int]]:
+    check_config_budget(spec)  # the list grows with the tape, so cap it first
     q = len(spec.states)
     a = len(spec.alphabet)
     fields = [(R_HEAD, q), (R_INDEX, spec.tape_cells), (R_ACC, a)]
@@ -314,18 +298,7 @@ def _build_layout(
             if name in slots:
                 raise DimensionError(f"register {name} assigned twice")
             slots[name] = (wid, fidx)
-    return RegisterLayout(
-        wires=tuple(wires),
-        slots=slots,
-        m=m,
-        merged=merged,
-        state_ids=tuple(spec.states),
-        alphabet=spec.alphabet,
-        n_cells=spec.tape_cells,
-        result_cell=spec.result_cell,
-        initial_state=spec.initial_state,
-        final_states=spec.final_states,
-    )
+    return RegisterLayout(wires=tuple(wires), slots=slots, m=m, merged=merged, spec=spec)
 
 
 def machine_layout(spec: RtmSpec) -> RegisterLayout:
@@ -343,31 +316,14 @@ def wrapper_layout(spec: RtmSpec, merge_cells: bool = True) -> RegisterLayout:
     wire per register.
     """
     m = state_bits(spec)
-    q = len(spec.states)
-    a = len(spec.alphabet)
-    counter_dim = 2 ** (m + 1)
-    rc = spec.result_cell
-
+    machine = _machine_field_list(spec)  # head, index, acc, tape cells
+    counters = [[(R_COUNTER, 2 ** (m + 1))], [(R_IDLE, 2 ** (m + 1))]]
     if merge_cells:
-        core = [
-            (R_MODE, 4),
-            (R_HEAD, q),
-            (R_INDEX, spec.tape_cells),
-            (R_ACC, a),
-            (tape_register(rc), a),
-            (R_SOLUTION, 2),
-        ]
-        groups = [core]
-        groups += [
-            [(tape_register(i), a)]
-            for i in range(1, spec.tape_cells + 1)
-            if i != rc
-        ]
-        groups += [[(R_COUNTER, counter_dim)], [(R_IDLE, counter_dim)]]
+        result = machine[2 + spec.result_cell]
+        core = [(R_MODE, 4), *machine[:3], result, (R_SOLUTION, 2)]
+        groups = [core] + [[f] for f in machine[3:] if f != result] + counters
     else:
-        groups = [[(R_MODE, 4)], [(R_HEAD, q)], [(R_INDEX, spec.tape_cells)], [(R_ACC, a)]]
-        groups += [[(tape_register(i), a)] for i in range(1, spec.tape_cells + 1)]
-        groups += [[(R_SOLUTION, 2)], [(R_COUNTER, counter_dim)], [(R_IDLE, counter_dim)]]
+        groups = [[(R_MODE, 4)]] + [[f] for f in machine] + [[(R_SOLUTION, 2)]] + counters
     return _build_layout(spec, groups, m=m, merged=merge_cells)
 
 
@@ -465,8 +421,7 @@ def _moving_perm(spec: RtmSpec) -> np.ndarray:
     no rule image collides with it, and the leftovers are matched canonically
     so the table stays a bijection.
     """
-    sidx = {s: i for i, s in enumerate(spec.states)}
-    n = spec.tape_cells
+    sidx, n = spec.state_index, spec.tape_cells
     required = {
         sidx[state] * n + i: sidx[rule.target] * n + (i + rule.direction) % n
         for state, rule in spec.moving_rules.items()
@@ -478,9 +433,7 @@ def _moving_perm(spec: RtmSpec) -> np.ndarray:
 def _rw_perm(spec: RtmSpec) -> np.ndarray:
     """Permutation of (head, acc) pairs, packed ``head * |alphabet| + acc``,
     realizing the read-write transitions."""
-    sidx = {s: i for i, s in enumerate(spec.states)}
-    aidx = {a: i for i, a in enumerate(spec.alphabet)}
-    a = len(spec.alphabet)
+    sidx, aidx, a = spec.state_index, spec.symbol_index, len(spec.alphabet)
     required = {
         sidx[r.source] * a + aidx[r.read]: sidx[r.target] * a + aidx[r.write]
         for r in spec.rw_rules.values()
@@ -574,13 +527,12 @@ def nominal_cycle_length(m: int) -> int:
     return 2 * (2 ** (m + 1) - 1)
 
 
-def _bookkeeping_maps(spec: RtmSpec, layout: RegisterLayout) -> list[tuple[str, tuple, Callable]]:
+def _bookkeeping_maps(layout: RegisterLayout) -> list[tuple[str, tuple, Callable]]:
     """V's counters, answer copy and mode changes as ``(label, registers read,
     fn)``, each ``fn`` on index arrays as ``lift_gate`` describes."""
-    cmax = layout.counter_max
-    csize = layout.counter_size
-    final_idx = [layout.state_index[s] for s in layout.final_states]
-    accept = layout.symbol_index.get(ACCEPT_SYMBOL, -1)
+    spec, cmax, csize = layout.spec, layout.counter_max, layout.counter_size
+    final_idx = [spec.state_index[s] for s in spec.final_states]
+    accept = spec.symbol_index.get(ACCEPT_SYMBOL, -1)
     rc_reg = tape_register(spec.result_cell)
 
     # counter: up in run/pad, down in unwind modes
@@ -627,28 +579,22 @@ def _bookkeeping_maps(spec: RtmSpec, layout: RegisterLayout) -> list[tuple[str, 
     ]
 
 
-def check_gate_budget(spec: RtmSpec, layout: RegisterLayout) -> None:
-    """Raise ``BudgetExceededError`` when V's register-level tables on
-    ``layout`` would hold more than ``MAX_GATE_ENTRIES`` entries."""
-    read = [(R_MODE, *regs) for _, regs, _ in _step_maps(spec)] * 2
-    read += [regs for _, regs, _ in _bookkeeping_maps(spec, layout)]
+def build_wrapper_circuit(spec: RtmSpec, merge_cells: bool = True) -> Circuit:
+    """The self-looping circuit V (see the module docstring for the mode
+    rules and gate ordering). Raises ``BudgetExceededError`` before any wire
+    is built when the machine is over ``rtm.MAX_CONFIG_BITS``, and before
+    lifting when its register-level tables would exceed ``MAX_GATE_ENTRIES``."""
+    _guard_initial_state(spec)
+    layout = wrapper_layout(spec, merge_cells=merge_cells)
+    maps = _step_maps(spec)
+    bookkeeping = _bookkeeping_maps(layout)
+    read = [(R_MODE, *regs) for _, regs, _ in maps] * 2 + [regs for _, regs, _ in bookkeeping]
     entries = sum(math.prod(map(layout.register_dim, regs)) for regs in read)
     if entries > MAX_GATE_ENTRIES:
         raise BudgetExceededError(
             f"wrapper circuit needs {entries} gate-table entries, "
             f"over the compile cap {MAX_GATE_ENTRIES}"
         )
-
-
-def build_wrapper_circuit(spec: RtmSpec, merge_cells: bool = True) -> Circuit:
-    """The self-looping circuit V (see the module docstring for the mode
-    rules and gate ordering). Raises ``BudgetExceededError`` before lifting
-    when its register-level tables would exceed ``MAX_GATE_ENTRIES``."""
-    _guard_initial_state(spec)
-    layout = wrapper_layout(spec, merge_cells=merge_cells)
-    check_gate_budget(spec, layout)
-    maps = _step_maps(spec)
-    bookkeeping = _bookkeeping_maps(spec, layout)
 
     # the payload is U itself: its maps controlled on run, then U^-1 (each
     # map's table inverted, in reverse order) controlled on unwind-run
@@ -716,10 +662,10 @@ def _dump_dict(circuit: Circuit) -> dict:
                 for w in lay.wires
             ],
             "registers": {name: list(slot) for name, slot in sorted(lay.slots.items())},
-            "states": list(lay.state_ids),
-            "alphabet": list(lay.alphabet),
-            "tape_cells": lay.n_cells,
-            "result_cell": lay.result_cell,
+            "states": list(lay.spec.states),
+            "alphabet": list(lay.spec.alphabet),
+            "tape_cells": lay.spec.tape_cells,
+            "result_cell": lay.spec.result_cell,
         },
         "gates": [
             {

@@ -38,18 +38,7 @@ def _emit(data, out: str | None) -> None:
 def _cmd_validate(args) -> int:
     spec = rtm.parse_rtm_file(args.spec)
     report = rtm.check_reversibility(spec)
-    _emit(
-        {
-            "machine": spec.name,
-            "configs_checked": report.configs_checked,
-            "violations": [
-                {"kind": v.kind, "message": v.message} for v in report.violations
-            ],
-            "boundary_wraps": [list(w) for w in report.boundary_wraps],
-            "reversible": report.is_reversible,
-        },
-        args.out,
-    )
+    _emit({"machine": spec.name, "reversible": report.is_reversible, **asdict(report)}, args.out)
     return EXIT_OK if report.is_reversible else EXIT_VALIDATION
 
 
@@ -62,7 +51,8 @@ def _cmd_compile(args) -> int:
 
 def _clocked(args) -> tuple[rtm.RtmSpec, harness.ClockedCircuit]:
     spec = rtm.parse_rtm_file(args.spec)
-    return spec, harness.compile_and_clock(spec, args.input, not args.no_merge_cells)
+    circuit = harness.compile_circuit(spec, not args.no_merge_cells)
+    return spec, harness.clock_orbit(circuit, args.input)
 
 
 def _cmd_orbit(args) -> int:

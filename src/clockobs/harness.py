@@ -1,14 +1,19 @@
 """End-to-end experiment driver.
 
-Loads a machine, compiles the self-looping circuit, measures the clock
-observable's orbit, samples accuracy-limited outcomes, and decides the
-machine's answer, comparing against ground truth from direct simulation.
-The compile/clock, accuracy, sampling and CSV stages are shared with the
-command line, so ``clockobs sample``/``decide``/``orbit`` run the same code.
-Every stage failure but a budget one is re-raised tagged with the stage
-name; a ``BudgetExceededError`` passes through as it is. Reports are
-reproducible: the same config and seed give byte-identical report files
-(wall-clock timing is kept out of the serialized report for that reason).
+Runs the stages parse, validate, compile, ground-truth, orbit, sample and
+decide: loads a machine, checks it is reversible, compiles the self-looping
+circuit, runs the machine directly for the ground truth, measures the clock
+observable's orbit, samples accuracy-limited outcomes and decides the
+machine's answer. Validate refuses a machine over ``rtm.MAX_CONFIG_BITS``
+and compile one over ``circuits.MAX_GATE_ENTRIES``; the ground-truth step
+budget is set by the compiled circuit's register size, so no machine is run
+that could not be compiled. The compile, orbit, accuracy, sampling and CSV
+stages are shared with the command line, so ``clockobs sample``/``decide``/
+``orbit`` run the same code. Every stage failure but a budget one is
+re-raised tagged with the stage name; a ``BudgetExceededError`` passes
+through as it is. Reports are reproducible: the same config and seed give
+byte-identical report files (wall-clock timing is kept out of the
+serialized report for that reason).
 """
 
 from __future__ import annotations
@@ -133,16 +138,20 @@ class ClockedCircuit:
     orbit: clock.Orbit
 
 
-def compile_and_clock(spec: rtm.RtmSpec, input_word: str, merge_cells: bool) -> ClockedCircuit:
-    """Stages compile and orbit: build V and walk the clock orbit of the
-    input, whose dimension d fixes every measurement's outcome distribution."""
+def compile_circuit(spec: rtm.RtmSpec, merge_cells: bool) -> circuits.Circuit:
+    """Stage compile: build V, within the gate budget."""
     with _stage("compile"):
-        circuit = circuits.build_wrapper_circuit(spec, merge_cells=merge_cells)
-        op = clock.ForwardOperator(circuit)
-        locality = clock.locality_report(op)
+        return circuits.build_wrapper_circuit(spec, merge_cells=merge_cells)
+
+
+def clock_orbit(circuit: circuits.Circuit, input_word: str) -> ClockedCircuit:
+    """Stage orbit: walk the clock orbit of the input, whose dimension d fixes
+    every measurement's outcome distribution."""
     with _stage("orbit"):
+        op = clock.ForwardOperator(circuit)
         initial = clock.ClockedState(circuit.layout.initial_basis_state(input_word), 1)
         orbit = clock.compute_orbit(op, initial)
+        locality = clock.locality_report(op)
     r_nominal = circuits.nominal_cycle_length(circuit.layout.m)
     return ClockedCircuit(circuit, r_nominal, locality, orbit)
 
@@ -185,22 +194,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 f"machine is not reversible ({len(report.violations)} violations; "
                 f"first: {first})"
             )
-        # the ground-truth step budget grows with the register space, so a
-        # machine too large to compile is refused before it is run
-        circuits.check_gate_budget(spec, circuits.wrapper_layout(spec, config.merge_cells))
+
+    circuit = compile_circuit(spec, config.merge_cells)
 
     with _stage("ground-truth"):
         # a halting run never repeats a configuration, so it takes fewer
         # than 2**m steps
-        m = circuits.state_bits(spec)
-        budget = 4 * 2 ** (m + 1)
+        budget = 4 * 2 ** (circuit.layout.m + 1)
         truth = rtm.run_machine(spec, config.input_word, max_steps=budget)
         if not truth.halted:
             raise ClockObsError(
                 f"machine did not halt within {budget} steps; cannot certify"
             )
 
-    clocked = compile_and_clock(spec, config.input_word, config.merge_cells)
+    clocked = clock_orbit(circuit, config.input_word)
     d = clocked.orbit.dimension
     grid_r, grid_s = clocked.r_nominal, clocked.circuit.s
     accuracy = resolve_accuracy(config.accuracy, grid_r, grid_s)

@@ -13,14 +13,21 @@ map) from the transition rules, which for this normal form decide it.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence, Union
 
-from .errors import MachineStepError, SpecParseError
+from .errors import BudgetExceededError, MachineStepError, SpecParseError
 
 ACCEPT_SYMBOL = "1"
+
+# Size cap on log2 of the configuration space |states| * N * |alphabet|**N.
+# A machine over it is far over circuits.MAX_GATE_ENTRIES too, and under it
+# every count the program prints stays below 80 digits, so larger machines
+# are refused before any work that grows with the tape.
+MAX_CONFIG_BITS = 256
 
 
 class StateKind(Enum):
@@ -67,6 +74,8 @@ class RtmSpec:
     # indexes built in __post_init__
     moving_rules: dict[str, MovingRule] = field(init=False, repr=False)
     rw_rules: dict[tuple[str, str], ReadWriteRule] = field(init=False, repr=False)
+    state_index: dict[str, int] = field(init=False, repr=False)
+    symbol_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.tape_cells < 1:
@@ -99,6 +108,8 @@ class RtmSpec:
                 rw[key] = t
         self.moving_rules = moving
         self.rw_rules = rw
+        self.state_index = {s: i for i, s in enumerate(self.states)}
+        self.symbol_index = {a: i for i, a in enumerate(self.alphabet)}
 
     def _check_transition(self, t: Transition) -> None:
         for s in (t.source, t.target):
@@ -354,6 +365,17 @@ def config_space_size(spec: RtmSpec) -> int:
     return len(spec.states) * spec.tape_cells * len(spec.alphabet) ** spec.tape_cells
 
 
+def check_config_budget(spec: RtmSpec) -> None:
+    """Raise ``BudgetExceededError`` when log2 of the configuration space
+    exceeds ``MAX_CONFIG_BITS``; computed without building the space size."""
+    bits = math.log2(len(spec.states) * spec.tape_cells)
+    bits += spec.tape_cells * math.log2(len(spec.alphabet))
+    if bits > MAX_CONFIG_BITS:
+        raise BudgetExceededError(
+            f"machine has 2**{bits:.1f} configurations, over the cap 2**{MAX_CONFIG_BITS}"
+        )
+
+
 def _preimage(spec: RtmSpec, rule: Transition, image: MachineConfig) -> MachineConfig:
     """The configuration that ``rule`` steps to ``image`` (whose state is the
     rule's target; for a read-write rule the scanned cell must hold its write)."""
@@ -391,8 +413,10 @@ def check_reversibility(spec: RtmSpec) -> ReversibilityReport:
     2017), and ``configs_checked`` is the size of the space the verdict
     covers. Violations are report content rather than exceptions; after the
     rule-level ones comes one colliding pair of configurations per
-    rule-level collision.
+    rule-level collision. A space over ``MAX_CONFIG_BITS`` raises
+    ``BudgetExceededError`` first.
     """
+    check_config_budget(spec)
     violations: list[Violation] = []
 
     # rule-level totality

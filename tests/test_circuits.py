@@ -45,27 +45,19 @@ from clockobs.errors import (
     BudgetExceededError,
     ClockObsError,
     DimensionError,
+    MachineStepError,
     PermutationError,
 )
 from clockobs.rtm import StateKind, parse_rtm_spec
 
 
-def machine_basis_state(spec, layout, config):
-    updates = {
-        R_HEAD: layout.state_index[config.head_state],
-        R_INDEX: config.tape_index - 1,
-    }
-    for cell, sym in enumerate(config.tape, start=1):
-        updates[tape_register(cell)] = layout.symbol_index[sym]
-    return layout.set_registers(layout.zero_state(), updates)
-
-
 def read_machine_registers(layout, state):
-    head = layout.state_ids[layout.get_register(state, R_HEAD)]
+    spec = layout.spec
+    head = list(spec.states)[layout.get_register(state, R_HEAD)]
     index = layout.get_register(state, R_INDEX) + 1
     tape = tuple(
-        layout.alphabet[layout.get_register(state, tape_register(i))]
-        for i in range(1, layout.n_cells + 1)
+        spec.alphabet[layout.get_register(state, tape_register(i))]
+        for i in range(1, spec.tape_cells + 1)
     )
     acc = layout.get_register(state, R_ACC)
     return head, index, tape, acc
@@ -245,11 +237,11 @@ transition: move q -> h +1
     spec = parse_rtm_spec(text)
     step = build_step_circuit(spec)
     layout, (gate,) = step.layout, step.gates[:1]
-    state = machine_basis_state(spec, layout, rtm.MachineConfig("p", 3, ("0",) * 3))
+    state = layout.basis_state(rtm.MachineConfig("p", 3, ("0",) * 3))
     values = list(state.values)
     gate.apply_values(values)
     out = BasisState(tuple(values))
-    assert layout.state_ids[layout.get_register(out, R_HEAD)] == "q"
+    assert layout.get_register(out, R_HEAD) == spec.state_index["q"]
     assert layout.get_register(out, R_INDEX) + 1 == 1  # wrapped
 
 
@@ -262,12 +254,12 @@ def test_moving_gate_table_matches_rule_enumeration():
         for i in range(n):
             src = layout.set_registers(
                 layout.zero_state(),
-                {R_HEAD: layout.state_index[state], R_INDEX: i},
+                {R_HEAD: spec.state_index[state], R_INDEX: i},
             )
             values = list(src.values)
             gate.apply_values(values)
             out = BasisState(tuple(values))
-            assert layout.get_register(out, R_HEAD) == layout.state_index[rule.target]
+            assert layout.get_register(out, R_HEAD) == spec.state_index[rule.target]
             assert layout.get_register(out, R_INDEX) == (i + rule.direction) % n
 
 
@@ -309,7 +301,7 @@ transition: rw (p,1) -> (q,0)
     step = build_step_circuit(spec)
     layout = step.layout
     circuit = Circuit(layout=layout, gates=step.gates[1:])
-    state = machine_basis_state(spec, layout, rtm.MachineConfig("p", 1, ("0", "0")))
+    state = layout.basis_state(rtm.MachineConfig("p", 1, ("0", "0")))
     out = apply_circuit(circuit, state)
     head, index, tape, acc = read_machine_registers(layout, out)
     assert (head, index, tape) == ("q", 1, ("1", "0"))
@@ -323,7 +315,7 @@ def test_rw_sandwich_restores_accumulator(name):
     layout = step.layout
     circuit = Circuit(layout=layout, gates=step.gates[1:])
     for config in all_configs(spec):
-        state = machine_basis_state(spec, layout, config)
+        state = layout.basis_state(config)
         out = apply_circuit(circuit, state)
         assert layout.get_register(out, R_ACC) == 0
 
@@ -336,7 +328,7 @@ def test_step_circuit_identity_for_immediate_halt():
     spec = corpus.load("halt")
     circuit = build_step_circuit(spec)
     for config in all_configs(spec):
-        state = machine_basis_state(spec, circuit.layout, config)
+        state = circuit.layout.basis_state(config)
         assert apply_circuit(circuit, state) == state
 
 
@@ -351,7 +343,7 @@ def test_step_circuit_matches_step_machine_everywhere(name):
         if spec.kind(config.head_state) is StateKind.FINAL:
             continue
         want = rtm.step_machine(spec, config)
-        out = apply_circuit(circuit, machine_basis_state(spec, layout, config))
+        out = apply_circuit(circuit, layout.basis_state(config))
         head, index, tape, acc = read_machine_registers(layout, out)
         assert (head, index, tape) == (want.head_state, want.tape_index, want.tape)
         assert acc == 0
@@ -369,7 +361,7 @@ def test_step_circuit_matches_run_boundaries(name):
         words += [a + b for a in spec.alphabet for b in spec.alphabet]
     for word in words:
         config = rtm.initial_config(spec, word)
-        state = machine_basis_state(spec, layout, config)
+        state = layout.basis_state(config)
         for _ in range(64):
             if spec.kind(config.head_state) is StateKind.FINAL:
                 break
@@ -769,8 +761,9 @@ def test_replay_dump_rejects_corrupted_table():
 
 
 def test_initial_state_rejects_symbol_outside_alphabet():
+    # the layout checks an input word with the machine's own check
     layout = wrapper_layout(corpus.load("flip"))
-    with pytest.raises(DimensionError, match="not in the alphabet"):
+    with pytest.raises(MachineStepError, match="^input symbol '2' not in alphabet$"):
         layout.initial_basis_state("2")
 
 
@@ -785,8 +778,8 @@ def test_wrapper_payload_runs_the_step_circuit_and_its_inverse(merged):
     assert [g.label for g in run.gates] == [f"run:{g.label}" for g in step.gates]
     assert [g.label for g in unrun.gates] == [f"unrun:{g.label}" for g in step.gates[::-1]]
     for config in all_configs(spec):
-        u_out = apply_circuit(step, machine_basis_state(spec, step.layout, config))
-        start = machine_basis_state(spec, layout, config)  # mode run
+        u_out = apply_circuit(step, step.layout.basis_state(config))
+        start = layout.basis_state(config)  # mode run
         v_out = apply_circuit(run, start)
         assert read_machine_registers(layout, v_out) == read_machine_registers(step.layout, u_out)
         back = apply_circuit(unrun, layout.set_registers(v_out, {R_MODE: MODE_UNRUN}))

@@ -1,12 +1,15 @@
+import hashlib
 import itertools
 import json
 import subprocess
 import sys
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from clockobs import corpus
+from clockobs import circuits, corpus
 from clockobs.circuits import build_wrapper_circuit, circuit_orbit_length
 from clockobs.clock import spectral_model
 from clockobs.cli import (
@@ -469,12 +472,13 @@ def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def write_wide(tmp_path) -> str:
-    """A reversible 24-cell machine: 2 * 24 * 2**24 configurations, and V's
-    gates would hold 206,158,467,488 register-level entries."""
-    wide = tmp_path / "wide.rtm"
+def write_wide(tmp_path, cells: int = 24) -> str:
+    """A reversible binary machine with ``cells`` tape cells. At 24 cells it
+    has 2 * 24 * 2**24 configurations, and V's gates would hold
+    206,158,467,488 register-level entries."""
+    wide = tmp_path / f"wide{cells}.rtm"
     wide.write_text(
-        "states: p:rw h:final\nalphabet: 0 1\ninitial: p\ntape_cells: 24\n"
+        f"states: p:rw h:final\nalphabet: 0 1\ninitial: p\ntape_cells: {cells}\n"
         "transition: rw (p,0) -> (h,1)\ntransition: rw (p,1) -> (h,0)\n",
         encoding="utf-8",
     )
@@ -615,3 +619,88 @@ def test_cli_orbit_r_matches_a_walk_of_the_circuit(word, capsys):
     out = json.loads(capsys.readouterr().out)
     circuit = build_wrapper_circuit(spec)
     assert out["r_observed"] == circuit_orbit_length(circuit, circuit.layout.initial_basis_state(word))
+
+
+# stdout of `validate`, captured before the report was written from the
+# ReversibilityReport dataclass itself
+VALIDATE_STDOUT = {
+    "flip": "9667a3ff25b7c5ae604b836c76def8f16112ed5d013c86f59871bbf503444be1",
+    "flipwalk": "31cab13f1625cea503bc063af0cb5f34ebfa461f2e3714ad39cf23bd9e0eba79",
+    "halt": "b852ff6e3ba0849dfbdafa1641cf59bb960fee9e319d6cc9215b2c2b3cc9663b",
+    "rot3": "9f637f17ef3b7dc29ef322420e2b274280f3c63dd2121e69b1946171f64ccfb1",
+    "broken": "f2c82ad564ba615daa93d6e334ba74f7462e01fa1333911a6853749861b9023c",
+}
+BROKEN = (  # h is entered by a moving and a read-write rule; q wraps at cell 2
+    "states: p:rw q:right h:final\nalphabet: 0 1\ninitial: p\ntape_cells: 2\n"
+    "transition: rw (p,0) -> (h,1)\ntransition: rw (p,1) -> (q,1)\ntransition: move q -> h +1\n"
+)
+
+
+@pytest.mark.parametrize("name", list(VALIDATE_STDOUT))
+def test_cli_validate_stdout_digest(name, tmp_path, capsys):
+    path = tmp_path / "broken.rtm"
+    path.write_text(BROKEN, encoding="utf-8")
+    spec = str(path) if name == "broken" else str(corpus.path(name))
+    want = EXIT_VALIDATION if name == "broken" else EXIT_OK
+    assert cli_dispatch(["validate", spec]) == want
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == VALIDATE_STDOUT[name]
+
+
+@pytest.mark.parametrize("word", ["2", "000"])
+def test_bad_input_word_reads_the_same_in_every_command(word, capsys):
+    # flip has one tape cell and the alphabet 0 1; every command refuses the
+    # word with the machine's own check, so only the stage tag differs
+    messages = set()
+    for argv in (
+        ["orbit", FLIP],
+        ["sample", FLIP],
+        ["decide", FLIP],
+        ["experiment", "--spec", FLIP],
+    ):
+        assert cli_dispatch([*argv, "--input", word]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("[")
+        messages.add(err.split("] ", 1)[1])
+    assert len(messages) == 1
+
+
+def test_run_experiment_builds_the_wrapper_once(tmp_path, monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(circuits, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(circuits, name, wrapper)
+
+    for name in ("_step_maps", "_bookkeeping_maps", "wrapper_layout", "state_bits"):
+        counted(name)
+    run_experiment(flip_config(tmp_path))
+    assert calls == {"_step_maps": 1, "_bookkeeping_maps": 1, "wrapper_layout": 1, "state_bits": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "HUGE"],
+        ["compile", "HUGE"],
+        ["orbit", "HUGE", "--input", "0"],
+        ["decide", "HUGE", "--input", "0"],
+        ["experiment", "--spec", "HUGE", "--input", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("cells", [10_000, 100_000])
+def test_config_cap_fails_fast_with_one_budget_line(argv, cells, tmp_path, capsys):
+    argv = [write_wide(tmp_path, cells) if a == "HUGE" else a for a in argv]
+    started = time.perf_counter()
+    assert cli_dispatch(argv) == EXIT_BUDGET
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    bits = {10_000: "10014.3", 100_000: "100017.6"}[cells]
+    assert captured.err == f"[budget] machine has 2**{bits} configurations, over the cap 2**256\n"

@@ -7,8 +7,9 @@ import pytest
 from oracle import all_configs, random_machine, sweep
 
 from clockobs import corpus
-from clockobs.errors import MachineStepError, SpecParseError
+from clockobs.errors import BudgetExceededError, MachineStepError, SpecParseError
 from clockobs.rtm import (
+    MAX_CONFIG_BITS,
     MachineConfig,
     MovingRule,
     ReadWriteRule,
@@ -413,3 +414,20 @@ def test_step_map_is_a_bijection_with_reversal_inverse(name):
             tape[nxt.tape_index - 1] = rule.read
             back = (rule.source, nxt.tape_index, tuple(tape))
         assert back == (config.head_state, config.tape_index, config.tape)
+
+
+@pytest.mark.parametrize("cells,over", [(247, False), (248, True)])
+def test_config_cap_is_on_log2_of_the_configuration_space(cells, over):
+    # 2 states, binary: log2(2 * N * 2**N) = 1 + log2(N) + N, about 255.95 at
+    # 247 cells and 256.95 at 248
+    text = (
+        f"states: p:rw h:final\nalphabet: 0 1\ninitial: p\ntape_cells: {cells}\n"
+        "transition: rw (p,0) -> (h,1)\ntransition: rw (p,1) -> (h,0)\n"
+    )
+    spec = parse_rtm_spec(text)
+    assert (config_space_size(spec).bit_length() - 1 >= MAX_CONFIG_BITS) == over
+    if over:
+        with pytest.raises(BudgetExceededError, match=r"^machine has 2\*\*257\.0 config"):
+            check_reversibility(spec)
+    else:
+        assert check_reversibility(spec).configs_checked == config_space_size(spec)
