@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: validate, compile, orbit, spectrum, sample, decide,
-phase-estimate, experiment. orbit, sample and decide run the same compile,
-clock, accuracy and sampling stages as ``harness.run_experiment``. Exit
+phase-estimate, experiment. compile, orbit, sample and decide run the same
+stages as ``harness.run_experiment`` (compile, orbit, accuracy, sample). Exit
 codes: 0 success, 2 validation failure, 3 budget exhaustion, 4 I/O failure.
 """
 
@@ -21,7 +21,6 @@ from . import circuits, clock, harness, metrology, rtm
 from .errors import BudgetExceededError, ClockObsError, SpecParseError, StageError
 
 EXIT_OK = 0
-EXIT_ERROR = 1
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
@@ -44,7 +43,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_compile(args) -> int:
     spec = rtm.parse_rtm_file(args.spec)
-    circuit = circuits.build_wrapper_circuit(spec, merge_cells=not args.no_merge_cells)
+    circuit = harness.compile_circuit(spec, not args.no_merge_cells)
     _emit(circuits.dump_circuit_json(circuit) + "\n", args.out)
     return EXIT_OK
 

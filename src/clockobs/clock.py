@@ -17,9 +17,8 @@ while +1 (and -1 for even d) are simple. The cycle's starting vector weights
 every shift eigenvector equally, so a measurement on it returns cos(2*pi*j/d)
 with probability 2/d (paired) or 1/d (simple), so d alone fixes what a
 measurement returns (``cycle_eigenvalue`` is the formula). ``spectral_model``
-tabulates it exactly, with rational probabilities; ``dense_orbit_oracle``
-recomputes the spectrum numerically from the d x d matrix as an independent
-check.
+tabulates it exactly, with rational probabilities; ``tests/oracle.py`` holds
+the independent check, a dense eigensolver on the d x d matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import numpy as np
 from .circuits import BasisState, Circuit, circuit_orbit_length
 from .errors import BudgetExceededError, DimensionError
 
-DENSE_ORACLE_CAP = 4096
 # Largest cycle ``spectral_model`` tabulates (``clockobs spectrum --d``); its
 # d/2 + 1 exact lines take about 3 s and 160 MB at the cap on a 2-vCPU Xeon.
 MAX_SPECTRUM_DIM = 1_000_000
@@ -122,13 +120,6 @@ class SpectralModel:
     dimension: int
     lines: tuple[SpectralLine, ...]
 
-    def expanded_eigenvalues(self) -> np.ndarray:
-        """All d eigenvalues with multiplicity, ascending."""
-        vals: list[float] = []
-        for line in self.lines:
-            vals.extend([line.eigenvalue] * line.multiplicity)
-        return np.sort(np.array(vals))
-
 
 def cycle_eigenvalue(j: int | np.ndarray, d: int) -> float | np.ndarray:
     """cos(2*pi*j/d), the eigenvalue of the symmetrized d-cycle at index j: a
@@ -154,24 +145,8 @@ def spectral_model(d: int) -> SpectralModel:
     return SpectralModel(dimension=d, lines=tuple(lines))
 
 
-def dense_orbit_oracle(d: int) -> np.ndarray:
-    """Eigenvalues of (C + C^T)/2 for the d x d cyclic shift C, ascending,
-    from a dense symmetric eigensolver. Independent check of the closed form."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if d > DENSE_ORACLE_CAP:
-        raise ValueError(f"dimension {d} exceeds the dense-oracle cap {DENSE_ORACLE_CAP}")
-    if d == 1:
-        return np.array([1.0])
-    shift = np.zeros((d, d))
-    for i in range(d):
-        shift[(i + 1) % d, i] = 1.0
-    sym = (shift + shift.T) / 2.0
-    return np.linalg.eigvalsh(sym)
-
-
 # ---------------------------------------------------------------------------
-# locality and scaling helpers
+# locality
 
 @dataclass(frozen=True)
 class LocalityReport:
@@ -189,25 +164,3 @@ def locality_report(op: ForwardOperator) -> LocalityReport:
         max_support=max(supports),
         term_count=len(supports),
     )
-
-
-@dataclass(frozen=True)
-class NormBound:
-    power_bound: int  # n**k
-    exact_binomial: int  # C(n, k)
-
-
-def norm_bound(n: int, k: int) -> NormBound:
-    """Term-count bound for a k-local observable on n wires with unit-norm
-    terms: at most C(n,k) < n**k terms, so the operator norm is at most n**k."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n} k={k}")
-    return NormBound(power_bound=n**k, exact_binomial=math.comb(n, k))
-
-
-def choose_time_scale(bound: float) -> float:
-    """Evolution time t with norm*t <= pi, making eigenvalue readout of the
-    evolution operator one-to-one."""
-    if bound <= 0:
-        raise ValueError(f"norm bound must be positive, got {bound}")
-    return math.pi / bound

@@ -8,11 +8,11 @@ machine's answer. Validate refuses a machine over ``rtm.MAX_CONFIG_BITS``
 and compile one over ``circuits.MAX_GATE_ENTRIES``; the ground-truth step
 budget is set by the compiled circuit's register size, so no machine is run
 that could not be compiled. The compile, orbit, accuracy, sampling and CSV
-stages are shared with the command line, so ``clockobs sample``/``decide``/
-``orbit`` run the same code. Every stage failure but a budget one is
-re-raised tagged with the stage name; a ``BudgetExceededError`` passes
-through as it is. Reports are reproducible: the same config and seed give
-byte-identical report files (wall-clock timing is kept out of the
+stages are shared with the command line, so ``clockobs compile``/``orbit``/
+``sample``/``decide`` run the same code. Every stage failure but a budget
+one is re-raised tagged with the stage name; a ``BudgetExceededError``
+passes through as it is. Reports are reproducible: the same config and seed
+give byte-identical report files (wall-clock timing is kept out of the
 serialized report for that reason).
 """
 
@@ -114,7 +114,8 @@ def _stage(name: str):
 
 
 def batch_seed(seed: int, batch_index: int) -> list[int]:
-    """Counter-style seed key: serial and parallel runs draw identically."""
+    """Counter-style seed key: batch b's draws depend only on (seed, b), so a
+    run with more batches repeats a shorter run's draws and adds its own."""
     return [seed, batch_index]
 
 

@@ -1,9 +1,13 @@
-"""Test-only reference for reversibility: an exhaustive sweep of the
-configuration space, and a seeded generator of small machines to run it on.
+"""Test-only references: an exhaustive reversibility sweep with a seeded
+generator of small machines to run it on, and a dense eigensolver for the
+clock spectrum.
 
 ``rtm.check_reversibility`` decides reversibility from the transition rules;
 the sweep here decides it by stepping every configuration with
 ``rtm.step_machine``, so the two can be compared machine by machine.
+``clock.spectral_model`` gives the d-cycle's spectrum in closed form;
+``dense_orbit_oracle`` recomputes it numerically from the d x d matrix, as
+the independent check of that formula.
 """
 
 from __future__ import annotations
@@ -12,6 +16,9 @@ import random
 from itertools import product
 from typing import Iterable
 
+import numpy as np
+
+from clockobs.clock import SpectralModel
 from clockobs.errors import MachineStepError
 from clockobs.rtm import (
     MachineConfig,
@@ -24,6 +31,7 @@ from clockobs.rtm import (
 )
 
 MOVERS = (StateKind.MOVE_RIGHT, StateKind.MOVE_LEFT)
+DENSE_ORACLE_CAP = 4096
 
 
 def all_configs(spec: RtmSpec) -> Iterable[MachineConfig]:
@@ -115,3 +123,27 @@ def random_machine(rng: random.Random) -> RtmSpec:
         initial_state=names[0],
         tape_cells=rng.randint(1, 4),
     )
+
+
+def expanded_eigenvalues(model: SpectralModel) -> np.ndarray:
+    """All d eigenvalues of ``model`` with multiplicity, ascending."""
+    vals: list[float] = []
+    for line in model.lines:
+        vals.extend([line.eigenvalue] * line.multiplicity)
+    return np.sort(np.array(vals))
+
+
+def dense_orbit_oracle(d: int) -> np.ndarray:
+    """Eigenvalues of (C + C^T)/2 for the d x d cyclic shift C, ascending,
+    from a dense symmetric eigensolver. Independent check of the closed form."""
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    if d > DENSE_ORACLE_CAP:
+        raise ValueError(f"dimension {d} exceeds the dense-oracle cap {DENSE_ORACLE_CAP}")
+    if d == 1:
+        return np.array([1.0])
+    shift = np.zeros((d, d))
+    for i in range(d):
+        shift[(i + 1) % d, i] = 1.0
+    sym = (shift + shift.T) / 2.0
+    return np.linalg.eigvalsh(sym)

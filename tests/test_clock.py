@@ -18,14 +18,12 @@ from clockobs.clock import (
     ClockedState,
     ForwardOperator,
     apply_forward,
-    choose_time_scale,
     compute_orbit,
-    dense_orbit_oracle,
     locality_report,
-    norm_bound,
     spectral_model,
 )
 from clockobs.errors import BudgetExceededError, DimensionError
+from oracle import dense_orbit_oracle, expanded_eigenvalues
 
 
 def identity_op(n_gates=1):
@@ -189,7 +187,7 @@ def test_spectral_model_d8_against_dense_diagonalization():
     assert by_value[0.0] == Fraction(1, 4)
     assert by_value[-root_half] == Fraction(1, 4)
     assert by_value[-1.0] == Fraction(1, 8)
-    assert np.allclose(model.expanded_eigenvalues(), dense_orbit_oracle(8), atol=1e-9)
+    assert np.allclose(expanded_eigenvalues(model), dense_orbit_oracle(8), atol=1e-9)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 17, 64, 100])
@@ -216,7 +214,7 @@ def test_dense_oracle_d3():
 def test_model_matches_oracle(d):
     model = spectral_model(d)
     assert np.allclose(
-        model.expanded_eigenvalues(), dense_orbit_oracle(d), atol=1e-9
+        expanded_eigenvalues(model), dense_orbit_oracle(d), atol=1e-9
     )
 
 
@@ -294,39 +292,7 @@ def test_unmerged_wrapper_exceeds_four():
 
 
 # ---------------------------------------------------------------------------
-# norm bound and time scale
-
-
-def test_norm_bound_examples():
-    nb = norm_bound(4, 2)
-    assert nb.exact_binomial == 6
-    assert nb.power_bound == 16
-    nb = norm_bound(10, 4)
-    assert nb.exact_binomial == 210
-    assert nb.power_bound == 10_000
-    nb = norm_bound(3, 3)
-    assert nb.exact_binomial == 1
-    assert nb.power_bound == 27
-
-
-def test_norm_bound_big_integers():
-    nb = norm_bound(50, 25)
-    assert nb.power_bound == 50**25
-    assert nb.exact_binomial == math.comb(50, 25)
-
-
-def test_norm_bound_rejects_bad_k():
-    with pytest.raises(ValueError):
-        norm_bound(3, 0)
-    with pytest.raises(ValueError):
-        norm_bound(3, 4)
-
-
-def test_choose_time_scale():
-    assert choose_time_scale(1.0) == pytest.approx(math.pi)
-    assert choose_time_scale(math.pi) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        choose_time_scale(0.0)
+# time scale
 
 
 def test_time_scale_keeps_eigenvalue_map_injective():
@@ -334,9 +300,9 @@ def test_time_scale_keeps_eigenvalue_map_injective():
     # eigenvalue -> exp(-i * eigenvalue * t) is one-to-one. With t = pi/norm
     # the only possible collision is the endpoint pair (-norm, +norm), which
     # an odd cycle never realizes (it has +1 but not -1 in its spectrum).
-    bound = norm_bound(4, 2).power_bound
-    t = choose_time_scale(bound)
-    eigenvalues = [bound * x for x in spectral_model(65).expanded_eigenvalues()]
+    bound = 4**2
+    t = math.pi / bound
+    eigenvalues = [bound * x for x in expanded_eigenvalues(spectral_model(65))]
     phases = [complex(math.cos(-x * t), math.sin(-x * t)) for x in eigenvalues]
     distinct_eig = sorted({round(x, 12) for x in eigenvalues})
     distinct_ph = {(round(p.real, 12), round(p.imag, 12)) for p in phases}
@@ -344,7 +310,7 @@ def test_time_scale_keeps_eigenvalue_map_injective():
 
     # even cycles hit both endpoints, which alias to the same phase; every
     # interior eigenvalue still reads out uniquely
-    even = [bound * x for x in spectral_model(64).expanded_eigenvalues()]
+    even = [bound * x for x in expanded_eigenvalues(spectral_model(64))]
     ph = {
         (round(math.cos(-x * t), 12), round(math.sin(-x * t), 12)) for x in even
     }

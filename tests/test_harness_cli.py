@@ -147,6 +147,18 @@ def test_batch_seed_split_is_stable():
     assert batch_seed(9, 1) != batch_seed(9, 0)
 
 
+def test_batch_draws_depend_only_on_seed_and_batch(tmp_path):
+    # batch b is seeded by (seed, b) alone, so three batches begin with the
+    # one batch of a single-batch run: header plus 200 rows
+    for batches in (1, 3):
+        out_dir = str(tmp_path / str(batches))
+        run_experiment(flip_config(tmp_path, out_dir=out_dir, batch_count=batches))
+    one = (tmp_path / "1" / "samples.csv").read_text().splitlines()
+    three = (tmp_path / "3" / "samples.csv").read_text().splitlines()
+    assert len(one) == 201 and len(three) == 601
+    assert three[:201] == one
+
+
 def test_stage_attribution_parse(tmp_path):
     bad = tmp_path / "bad.rtm"
     bad.write_text("states: nope\n", encoding="utf-8")
@@ -704,3 +716,28 @@ def test_config_cap_fails_fast_with_one_budget_line(argv, cells, tmp_path, capsy
     assert captured.out == ""
     bits = {10_000: "10014.3", 100_000: "100017.6"}[cells]
     assert captured.err == f"[budget] machine has 2**{bits} configurations, over the cap 2**256\n"
+
+
+TARGET = (  # p is entered by the moving rule of q, so V cannot hold it fixed
+    "states: p:rw q:right h:final\nalphabet: 0 1\ninitial: p\ntape_cells: 2\n"
+    "transition: rw (p,0) -> (q,0)\ntransition: rw (p,1) -> (h,1)\ntransition: move q -> p +1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "TARGET"],
+        ["orbit", "TARGET", "--input", "0"],
+        ["experiment", "--spec", "TARGET", "--input", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_compile_failure_prints_one_compile_line_in_every_command(argv, tmp_path, capsys):
+    path = tmp_path / "target.rtm"
+    path.write_text(TARGET, encoding="utf-8")
+    assert cli_dispatch([str(path) if a == "TARGET" else a for a in argv]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "[compile] initial state 'p' is the target of a moving rule; the step "
+        "circuit cannot hold it fixed at an application boundary\n"
+    )
