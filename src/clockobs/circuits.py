@@ -29,15 +29,21 @@ Iterating V therefore returns every register to its initial value after
 2*(2**(m+1)-1) applications, except the solution bit which accumulates the
 machine's answer; a machine that accepts doubles the cycle.
 
-Each gate is a permutation table over the registers it reads; the other
-registers on its wires ride along, and its wire-level table is computed on
-demand. With cell merging on (the default), the mode, head, index,
-accumulator, result cell and solution registers share a single qudit wire,
-so every emitted gate touches at most two wires.
+Each gate is a permutation table over the registers it reads, stored as the
+points it moves; the other registers on its wires ride along, and its
+wire-level table is computed on demand. With cell merging on (the default),
+the mode, head, index, accumulator, result cell and solution registers share
+a single qudit wire, so every emitted gate touches at most two wires.
+
+``circuit_orbit_length`` walks whole passes of a circuit as straight-line
+code generated for its shape; ``PermGate.apply_values`` and
+``apply_circuit`` apply one gate or one pass the plain way.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -52,8 +58,9 @@ from .rtm import check_config_budget, initial_config
 MODE_RUN, MODE_PAD, MODE_UNPAD, MODE_UNRUN = 0, 1, 2, 3
 
 # Size caps. Lifting takes about 0.08 us per register-level entry; flip3, the
-# largest machine exercised, needs 0.1M, and `clockobs compile` writes its 5.5M
-# merged wire-level entries in about 0.9 s at a 127 MB peak RSS (2-vCPU Xeon).
+# largest machine exercised, needs 0.1M, of which its gates keep the 6,244
+# they move (24.8 KB). `clockobs compile` writes its 5.5M merged wire-level
+# entries in about 0.9 s at a 127 MB peak RSS (2-vCPU Xeon).
 MAX_GATE_ENTRIES = 2_000_000
 MAX_DUMP_ENTRIES = 6_000_000
 
@@ -163,18 +170,20 @@ class RegisterLayout:
 
 class PermGate:
     """A permutation of the joint basis of the wires in ``support``, stored
-    as a table over the fields it reads.
+    as the points it moves in a table over the fields it reads.
 
     A field is a ``(wire, stride, dim)`` triple naming the digit
     ``values[wire] // stride % dim``. ``field_table[i] = j`` maps the field
     digits packed as i (mixed radix over ``fields`` in order) to those packed
     as j; every other digit of the support wires rides along unchanged.
     Without ``fields`` each support wire is one whole field, so ``table`` is
-    the wire-level table given. The table must be a bijection; it is kept
-    read-only, in the smallest unsigned dtype that holds it.
+    the wire-level table given. The table must be a bijection. Only its moved
+    points are kept: ``moved``, the sorted i with ``table[i] != i``, and
+    ``image``, their images, both read-only in the smallest unsigned dtype
+    that holds the table; ``field_table`` is rebuilt from them on access.
     """
 
-    __slots__ = ("support", "dims", "fields", "field_table", "label")
+    __slots__ = ("support", "dims", "fields", "moved", "image", "label")
 
     def __init__(self, support, dims, table, label: str, fields=None) -> None:
         self.support, self.dims, self.label = tuple(support), tuple(dims), label
@@ -187,13 +196,23 @@ class PermGate:
             raise PermutationError(f"gate {label}: table size {len(table)} != {size}")
         if not np.array_equal(np.sort(table), np.arange(size)):
             raise PermutationError(f"gate {label}: table is not a bijection")
-        self.field_table = table.astype(np.min_scalar_type(size - 1))
-        self.field_table.flags.writeable = False
+        dtype = np.min_scalar_type(size - 1)
+        moved = np.flatnonzero(table != np.arange(size))
+        self.moved, self.image = moved.astype(dtype), table[moved].astype(dtype)
+        self.moved.flags.writeable = self.image.flags.writeable = False
 
     def __setattr__(self, name: str, value) -> None:
         if hasattr(self, name):
             raise AttributeError(f"gate attribute {name} is read-only")
         object.__setattr__(self, name, value)
+
+    @property
+    def field_table(self) -> np.ndarray:
+        """The whole table over ``fields``, rebuilt on each access and read-only."""
+        table = np.arange(math.prod(d for _, _, d in self.fields), dtype=self.moved.dtype)
+        table[self.moved] = self.image
+        table.flags.writeable = False
+        return table
 
     @property
     def table(self) -> np.ndarray:
@@ -205,15 +224,16 @@ class PermGate:
         values = [np.arange(d) for d in self.dims]
         place = [math.prod(self.dims[p + 1:]) for p in range(len(self.dims))]
         index, rest = [0 * v for v in values], [v * step for v, step in zip(values, place)]
-        radix, back = len(self.field_table), 0  # back: field index -> its digits
+        field_table = self.field_table
+        radix, back = len(field_table), 0  # back: field index -> its digits
         for w, stride, dim in self.fields:
             p, radix = self.support.index(w), radix // dim
             digit = values[p] // stride % dim
             index[p] += digit * radix
             rest[p] -= digit * stride * place[p]
-            back += np.arange(len(self.field_table)) // radix % dim * stride * place[p]
+            back += np.arange(len(field_table)) // radix % dim * stride * place[p]
         table = sum(np.ix_(*rest)).ravel()
-        table += back[self.field_table][sum(np.ix_(*index))].ravel()
+        table += back[field_table][sum(np.ix_(*index))].ravel()
         table.flags.writeable = False
         return table
 
@@ -221,7 +241,10 @@ class PermGate:
         idx = 0
         for w, stride, dim in self.fields:
             idx = idx * dim + values[w] // stride % dim
-        out = self.field_table.item(idx)
+        k = bisect.bisect_left(self.moved, idx)
+        if k == len(self.moved) or self.moved.item(k) != idx:
+            return
+        out = self.image.item(k)
         for w, stride, dim in reversed(self.fields):
             if out == idx:
                 return
@@ -239,21 +262,22 @@ class Circuit:
     def s(self) -> int:
         return len(self.gates)
 
-    def apply_values(self, values: list[int]) -> None:
-        for gate in self.gates:
-            gate.apply_values(values)
 
-
-def apply_circuit(circuit: Circuit, state: BasisState) -> BasisState:
-    """Apply every gate in order; pure permutation action on basis states."""
-    dims = circuit.layout.wire_dims()
+def _checked_values(layout: RegisterLayout, state: BasisState) -> list[int]:
+    dims = layout.wire_dims()
     if len(state.values) != len(dims):
         raise DimensionError("state width does not match layout")
     for v, d in zip(state.values, dims):
         if not 0 <= v < d:
             raise DimensionError(f"state value {v} out of range for dimension {d}")
-    values = list(state.values)
-    circuit.apply_values(values)
+    return list(state.values)
+
+
+def apply_circuit(circuit: Circuit, state: BasisState) -> BasisState:
+    """Apply every gate in order; pure permutation action on basis states."""
+    values = _checked_values(circuit.layout, state)
+    for gate in circuit.gates:
+        gate.apply_values(values)
     return BasisState(tuple(values))
 
 
@@ -610,21 +634,78 @@ def build_wrapper_circuit(spec: RtmSpec, merge_cells: bool = True) -> Circuit:
     return Circuit(layout=layout, gates=tuple(gates))
 
 
+def _walk_source(circuit: Circuit) -> str:
+    """Source of ``walk(max_steps, start, t0, t1, ...)``: whole passes of the
+    circuit over one local per wire, gate k looking its field index up in the
+    dict ``tk`` of moved points. Returns the first pass count that brings the
+    wires back to ``start``, or None after ``max_steps`` passes. Values must
+    be in range for their wires, so whole-wire digits need no ``%``."""
+    dims = circuit.layout.wire_dims()
+    wires = ", ".join(f"v{w}" for w in range(len(dims))) + ","
+    tables = "".join(f", t{k}" for k in range(circuit.s))
+    lines = [
+        f"def walk(max_steps, start{tables}):",
+        f"    {wires} = start",
+        "    for step in range(1, max_steps + 1):",
+    ]
+
+    def digit(var: str, stride: int, dim: int, size: int) -> str:
+        """``var // stride % dim`` for a var below ``size``, without no-ops."""
+        text = var if stride == 1 else f"{var} // {stride}"
+        return text if stride * dim == size else f"{text} % {dim}"
+
+    for k, gate in enumerate(circuit.gates):
+        if not len(gate.moved):
+            continue  # the identity
+        size = math.prod(d for _, _, d in gate.fields)
+        radix, index, write = size, [], []
+        for w, stride, dim in gate.fields:
+            radix //= dim
+            index.append(digit(f"v{w}", stride, dim, dims[w]) + (f" * {radix}" if radix > 1 else ""))
+            new = digit("o", radix, dim, size)
+            if stride == 1 and dim == dims[w]:  # the field is the whole wire
+                write.append(f"v{w} = {new}")
+            else:
+                scale = f" * {stride}" if stride > 1 else ""
+                write.append(f"v{w} += ({new} - {digit('i', radix, dim, size)}){scale}")
+        lines += [
+            f"        i = {' + '.join(index)}",
+            f"        o = t{k}.get(i, i)",
+            "        if o != i:",
+            *(f"            {line}" for line in write),
+        ]
+    lines += [f"        if ({wires}) == start:", "            return step", "    return None"]
+    return "\n".join(lines) + "\n"
+
+
+# compile() takes about 1 ms, more than a whole walk on a small machine, and
+# the source depends only on the circuit's shape, so repeat walks reuse it
+@functools.lru_cache(maxsize=16)
+def _compile_walk(source: str):
+    return compile(source, "<circuit walk>", "exec")
+
+
 def circuit_orbit_length(
     circuit: Circuit, initial: BasisState, max_steps: int | None = None
 ) -> int:
-    """Smallest r >= 1 with circuit^r(initial) == initial, by traversal."""
+    """Smallest r >= 1 with circuit^r(initial) == initial, by traversal of
+    whole passes; ``max_steps`` bounds the passes. Each pass runs as generated
+    straight-line code (see ``_walk_source``)."""
     if max_steps is None:
         max_steps = 16 * circuit.layout.counter_size + 16
-    values = list(initial.values)
-    start = tuple(values)
-    for step in range(1, max_steps + 1):
-        circuit.apply_values(values)
-        if tuple(values) == start:
-            return step
-    raise BudgetExceededError(
-        f"no recurrence within {max_steps} applications of the circuit"
-    )
+    start = tuple(_checked_values(circuit.layout, initial))
+    # a fresh namespace per call, with the tables passed as arguments: held
+    # in ``walk.__globals__`` they would form a cycle only the full GC frees
+    namespace: dict = {}
+    exec(_compile_walk(_walk_source(circuit)), namespace)
+    walk = namespace.pop("walk")
+    tables = [dict(zip(g.moved.tolist(), g.image.tolist())) for g in circuit.gates]
+    steps = walk(max_steps, start, *tables)
+    if steps is None:
+        raise BudgetExceededError(
+            f"no recurrence within {max_steps} applications of the circuit"
+        )
+    return steps
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Test-only references: an exhaustive reversibility sweep with a seeded
-generator of small machines to run it on, and a dense eigensolver for the
-clock spectrum.
+generator of small machines to run it on, a gate-by-gate orbit walk, and a
+dense eigensolver for the clock spectrum.
 
 ``rtm.check_reversibility`` decides reversibility from the transition rules;
 the sweep here decides it by stepping every configuration with
 ``rtm.step_machine``, so the two can be compared machine by machine.
+``circuits.circuit_orbit_length`` walks whole passes as generated code;
+``orbit_length_by_steps`` walks them one ``PermGate.apply_values`` at a time.
 ``clock.spectral_model`` gives the d-cycle's spectrum in closed form;
 ``dense_orbit_oracle`` recomputes it numerically from the d x d matrix, as
 the independent check of that formula.
@@ -18,8 +20,9 @@ from typing import Iterable
 
 import numpy as np
 
+from clockobs.circuits import BasisState, Circuit
 from clockobs.clock import SpectralModel
-from clockobs.errors import MachineStepError
+from clockobs.errors import BudgetExceededError, MachineStepError
 from clockobs.rtm import (
     MachineConfig,
     MovingRule,
@@ -122,6 +125,24 @@ def random_machine(rng: random.Random) -> RtmSpec:
         transitions=tuple(rules),
         initial_state=names[0],
         tape_cells=rng.randint(1, 4),
+    )
+
+
+def orbit_length_by_steps(
+    circuit: Circuit, initial: BasisState, max_steps: int | None = None
+) -> int:
+    """``circuits.circuit_orbit_length`` one gate application at a time."""
+    if max_steps is None:
+        max_steps = 16 * circuit.layout.counter_size + 16
+    values = list(initial.values)
+    start = tuple(values)
+    for step in range(1, max_steps + 1):
+        for gate in circuit.gates:
+            gate.apply_values(values)
+        if tuple(values) == start:
+            return step
+    raise BudgetExceededError(
+        f"no recurrence within {max_steps} applications of the circuit"
     )
 
 

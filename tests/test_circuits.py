@@ -1,14 +1,16 @@
+import gc
 import hashlib
 import json
 import math
 import random
 import runpy
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
-from oracle import all_configs, random_machine
+from oracle import all_configs, orbit_length_by_steps, random_machine
 
 from clockobs import circuits, corpus, rtm
 from clockobs.circuits import (
@@ -41,6 +43,7 @@ from clockobs.circuits import (
     tape_register,
     wrapper_layout,
 )
+from clockobs.clock import ClockedState, ForwardOperator, compute_orbit
 from clockobs.errors import (
     BudgetExceededError,
     ClockObsError,
@@ -204,6 +207,12 @@ def test_merged_flipwalk_stores_a_small_fraction_of_its_wire_tables():
     assert wire_entries == 578_560
     assert stored <= 0.05 * wire_entries
     assert all(g.field_table.dtype.kind == "u" for g in circuit.gates)
+    # each gate keeps only the points its table moves, read-only
+    for spec, moved in ((corpus.load("flipwalk"), 1_594), (_bench_flip3(), 6_244)):
+        for merged in (True, False):
+            gates = build_wrapper_circuit(spec, merge_cells=merged).gates
+            assert sum(len(g.moved) for g in gates) == moved, (spec.name, merged)
+            assert not any(a.flags.writeable for g in gates for a in (g.moved, g.image))
 
 
 def test_wrapper_over_the_compile_cap_fails_before_lifting(monkeypatch):
@@ -582,6 +591,78 @@ def test_orbit_budget_exhaustion():
     layout = circuit.layout
     with pytest.raises(BudgetExceededError):
         circuit_orbit_length(circuit, layout.initial_basis_state("0"), max_steps=3)
+
+
+WALKS = (circuit_orbit_length, orbit_length_by_steps)
+
+
+def _orbit_or_error(walk, circuit, start, max_steps=None):
+    try:
+        return walk(circuit, start, max_steps)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("merged", [True, False])
+@pytest.mark.parametrize("name", corpus.machine_names())
+def test_orbit_walk_matches_stepping_oracle(name, merged):
+    spec = corpus.load(name)
+    circuit = build_wrapper_circuit(spec, merge_cells=merged)
+    layout = circuit.layout
+    words = product(spec.alphabet, repeat=spec.tape_cells)
+    for start in [*map(layout.initial_basis_state, words), layout.zero_state()]:
+        r = orbit_length_by_steps(circuit, start)
+        assert circuit_orbit_length(circuit, start) == r, start
+        short = [_orbit_or_error(walk, circuit, start, r - 1) for walk in WALKS]
+        assert short[0] == short[1] == f"no recurrence within {r - 1} applications of the circuit"
+
+
+def test_orbit_walk_matches_stepping_oracle_on_generated_machines():
+    rng = random.Random(13)
+    compared = 0
+    while compared < 20:
+        spec = random_machine(rng)
+        try:
+            circuit = build_wrapper_circuit(spec, merge_cells=compared % 2 == 0)
+        except ClockObsError:
+            continue
+        if circuit.layout.m > 6:  # keeps the gate-by-gate walk short
+            continue
+        word = [rng.choice(spec.alphabet) for _ in range(spec.tape_cells)]
+        start = circuit.layout.initial_basis_state(word)
+        fast, slow = (_orbit_or_error(walk, circuit, start) for walk in WALKS)
+        assert fast == slow, spec
+        compared += 1
+
+
+def test_orbit_walk_matches_stepping_oracle_from_every_clock_position():
+    circuit = build_wrapper_circuit(corpus.load("flip"), merge_cells=False)
+    op, gates = ForwardOperator(circuit), circuit.gates
+    start = circuit.layout.initial_basis_state("0")
+    for c in range(circuit.s):
+        rotated = Circuit(circuit.layout, gates[c:] + gates[:c])
+        d = compute_orbit(op, ClockedState(start, c + 1)).dimension
+        assert d == circuit.s * orbit_length_by_steps(rotated, start), c
+
+
+def test_orbit_walk_leaves_no_reference_cycles():
+    _, circuit = flip_wrapper()
+    start = circuit.layout.initial_basis_state("0")
+    gc.disable()
+    try:
+        gc.collect()
+        circuit_orbit_length(circuit, start)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_orbit_length_rejects_state_outside_the_layout():
+    _, circuit = flip_wrapper()
+    with pytest.raises(DimensionError, match="width"):
+        circuit_orbit_length(circuit, BasisState((0,)))
+    with pytest.raises(DimensionError, match="out of range"):
+        circuit_orbit_length(circuit, BasisState(circuit.layout.wire_dims()))
 
 
 # ---------------------------------------------------------------------------
