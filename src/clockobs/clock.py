@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuits import BasisState, Circuit, circuit_orbit_length
+from .circuits import BasisState, Circuit, apply_circuit, circuit_orbit_length
 from .errors import BudgetExceededError, DimensionError
 
 # Largest cycle ``spectral_model`` tabulates (``clockobs spectrum --d``); its
@@ -92,16 +92,19 @@ def compute_orbit(
 
     The clock returns to its start only after a multiple of s forward
     steps, and s steps apply every gate once, from the gate under the clock
-    round to the one before it. So d is s times the orbit length of the
-    circuit rotated to start at that gate. ``max_steps`` bounds the forward
-    steps, counted in whole passes; without it ``circuit_orbit_length``'s
-    pass budget applies.
+    round to the one before it: the circuit R rotated to start there. With S
+    the gates from the clock's on, C^k(Sx) = S R^k(x), so d is s times the
+    orbit length of the circuit C itself through Sx, and every clock position
+    walks C's one compiled pass. ``max_steps`` bounds the forward steps,
+    counted in whole passes; without it ``circuit_orbit_length``'s pass
+    budget applies.
     """
     _check_clock(op, initial)
-    c, s = initial.clock_pos - 1, op.s
-    rotated = Circuit(op.circuit.layout, op.circuit.gates[c:] + op.circuit.gates[:c])
+    c, s, start = initial.clock_pos - 1, op.s, initial.circuit_state
+    if c:
+        start = apply_circuit(Circuit(op.circuit.layout, op.circuit.gates[c:]), start)
     passes = None if max_steps is None else max_steps // s
-    return Orbit(op, initial, s * circuit_orbit_length(rotated, initial.circuit_state, passes))
+    return Orbit(op, initial, s * circuit_orbit_length(op.circuit, start, passes))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from . import circuits, clock, metrology, rtm
 from .errors import BudgetExceededError, ClockObsError, StageError
 
 AUTO_ACCURACY = "auto"
+CSV_CHUNK_ROWS = 8192  # rows of ``samples_csv`` text built per join
 
 
 @dataclass(frozen=True)
@@ -171,14 +172,21 @@ def draw_samples(
 
 
 def samples_csv(batch: metrology.SampleBatch) -> str:
-    """One row per sample: trial, raw value, kept flag, grid index, parity."""
+    """One row per sample: trial, raw value, kept flag, grid index, parity;
+    built a column at a time per chunk of rows, with one suffix per distinct
+    grid index, so the float ``repr`` the CSV bytes pin is most of the cost."""
     kept, j = metrology.filter_round(batch.values, batch.r, batch.s)
-    # memoryviews hand out Python floats, bools and ints a row at a time, so
-    # no per-sample list is held beside the text
-    rows = enumerate(zip(batch.values.data, kept.data, j.data))
-    return "trial,raw_value,filtered,j,parity\n" + "".join(
-        f"{t},{v!r},1,{k},{k % 2}\n" if keep else f"{t},{v!r},0,,\n" for t, (v, keep, k) in rows
-    )
+    grid, row = np.unique(np.where(kept, j, -1), return_inverse=True)
+    suffix = np.array([f",1,{k},{k % 2}\n" if k >= 0 else ",0,,\n" for k in grid.tolist()], object)
+    text = ["trial,raw_value,filtered,j,parity\n"]
+    for a in range(0, len(row), CSV_CHUNK_ROWS):
+        b = min(a + CSV_CHUNK_ROWS, len(row))
+        parts = [","] * (4 * (b - a))  # trial, ",", raw value, suffix
+        parts[0::4] = map(str, range(a, b))
+        parts[2::4] = map(repr, batch.values[a:b].tolist())
+        parts[3::4] = suffix[row[a:b]].tolist()
+        text.append("".join(parts))
+    return "".join(text)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

@@ -30,8 +30,9 @@ MIN_FILTERED = 32
 PROBABILITY_GAP = 1.0 / 8.0  # 3/8 - 1/4
 PHASE_ANCILLA_CAP = 14
 # Most measurements one run draws (``--samples``, samples_per_batch * batch_count,
-# phase-estimate ``--samples``); at the cap a batch holds 16 MB of floats, and a
-# ``decide`` run peaks at about 130 MB RSS.
+# phase-estimate ``--samples``); at the cap a batch holds 16 MB of floats, a
+# ``decide`` run peaks at about 130 MB RSS, and a ``sample`` run, which writes
+# 67 MB of CSV, at about 230 MB (2-vCPU Xeon, Python 3.11).
 MAX_SAMPLES = 2_000_000
 
 FAILURE_MODES = ("uniform_full_range", "adversarial_offset")

@@ -9,7 +9,9 @@ the sweep here decides it by stepping every configuration with
 ``orbit_length_by_steps`` walks them one ``PermGate.apply_values`` at a time.
 ``clock.spectral_model`` gives the d-cycle's spectrum in closed form;
 ``dense_orbit_oracle`` recomputes it numerically from the d x d matrix, as
-the independent check of that formula.
+the independent check of that formula. ``harness.samples_csv`` builds the
+samples CSV a chunk and a column at a time; ``samples_csv_by_rows`` formats
+it one row at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from clockobs.circuits import BasisState, Circuit
 from clockobs.clock import SpectralModel
 from clockobs.errors import BudgetExceededError, MachineStepError
+from clockobs.metrology import SampleBatch, filter_round
 from clockobs.rtm import (
     MachineConfig,
     MovingRule,
@@ -168,3 +171,12 @@ def dense_orbit_oracle(d: int) -> np.ndarray:
         shift[(i + 1) % d, i] = 1.0
     sym = (shift + shift.T) / 2.0
     return np.linalg.eigvalsh(sym)
+
+
+def samples_csv_by_rows(batch: SampleBatch) -> str:
+    """``harness.samples_csv`` with one f-string per row."""
+    kept, j = filter_round(batch.values, batch.r, batch.s)
+    rows = enumerate(zip(batch.values.tolist(), kept.tolist(), j.tolist()))
+    return "trial,raw_value,filtered,j,parity\n" + "".join(
+        f"{t},{v!r},1,{k},{k % 2}\n" if keep else f"{t},{v!r},0,,\n" for t, (v, keep, k) in rows
+    )

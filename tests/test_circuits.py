@@ -636,13 +636,18 @@ def test_orbit_walk_matches_stepping_oracle_on_generated_machines():
 
 
 def test_orbit_walk_matches_stepping_oracle_from_every_clock_position():
-    circuit = build_wrapper_circuit(corpus.load("flip"), merge_cells=False)
-    op, gates = ForwardOperator(circuit), circuit.gates
-    start = circuit.layout.initial_basis_state("0")
-    for c in range(circuit.s):
-        rotated = Circuit(circuit.layout, gates[c:] + gates[:c])
-        d = compute_orbit(op, ClockedState(start, c + 1)).dimension
-        assert d == circuit.s * orbit_length_by_steps(rotated, start), c
+    # merged flipwalk has 19 gates, more than the 16 walks the compile cache
+    # holds, so every clock position must reuse the circuit's one walk
+    for name, word, merged in (("flip", "0", False), ("flipwalk", "00", True)):
+        circuit = build_wrapper_circuit(corpus.load(name), merge_cells=merged)
+        op, gates = ForwardOperator(circuit), circuit.gates
+        start = circuit.layout.initial_basis_state(word)
+        misses = circuits._compile_walk.cache_info().misses
+        for c in range(circuit.s):
+            rotated = Circuit(circuit.layout, gates[c:] + gates[:c])
+            d = compute_orbit(op, ClockedState(start, c + 1)).dimension
+            assert d == circuit.s * orbit_length_by_steps(rotated, start), (name, c)
+        assert circuits._compile_walk.cache_info().misses - misses <= 1, name
 
 
 def test_orbit_walk_leaves_no_reference_cycles():

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from clockobs import circuits, corpus
+from clockobs import circuits, corpus, metrology
 from clockobs.circuits import build_wrapper_circuit, circuit_orbit_length
 from clockobs.clock import spectral_model
 from clockobs.cli import (
@@ -20,8 +20,18 @@ from clockobs.cli import (
     cli_dispatch,
 )
 from clockobs.errors import StageError
-from clockobs.harness import ExperimentConfig, batch_seed, resolve_accuracy, run_experiment
+from clockobs.harness import (
+    CSV_CHUNK_ROWS,
+    ExperimentConfig,
+    batch_seed,
+    clock_orbit,
+    draw_samples,
+    resolve_accuracy,
+    run_experiment,
+    samples_csv,
+)
 from clockobs.metrology import PhaseEstimationSetup, filter_round, sample_phase_estimate
+from oracle import samples_csv_by_rows
 
 
 def flip_config(tmp_path, **overrides):
@@ -134,6 +144,63 @@ def test_samples_csv_agrees_with_the_decision(tmp_path):
     assert kept.reshape(4, 300).sum(axis=1).tolist() == list(report.decision.batch_kept)
     # a JSON value in the report is a plain Python scalar, never a numpy one
     assert {type(v) for v in _leaves(report.to_json_dict())} <= {int, float, bool, str}
+
+
+def _flip_batch(n: int, delta: float = 1 / 450, **model) -> metrology.SampleBatch:
+    acc = metrology.AccuracyModel(delta, **model)
+    return metrology.draw_batch(acc, 450, n, seed=3, r=45, s=10)
+
+
+def assert_csv_matches_rows(batch: metrology.SampleBatch) -> str:
+    """``samples_csv`` equals the row formatter; a failure names the first
+    row that differs, not a diff of the whole text."""
+    text = samples_csv(batch)
+    got, want = text.splitlines(), samples_csv_by_rows(batch).splitlines()
+    first = [(i, a, b) for i, (a, b) in enumerate(zip(got, want)) if a != b][:1]
+    assert (len(got), first) == (len(want), [])
+    return text
+
+
+@pytest.mark.parametrize(
+    "n", [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 7]
+)
+def test_samples_csv_matches_the_row_formatter_across_chunks(n):
+    assert assert_csv_matches_rows(_flip_batch(n)).count("\n") == n + 1
+
+
+@pytest.mark.parametrize("value,kept", [(0.9, 0), (-0.1, 1)])
+def test_samples_csv_matches_the_row_formatter_when_all_or_none_are_kept(value, kept):
+    n = CSV_CHUNK_ROWS + 3
+    batch = metrology.SampleBatch(np.full(n, value), metrology.AccuracyModel(0.01), 45, 10)
+    text = assert_csv_matches_rows(batch)
+    assert [row.split(",")[2] for row in text.splitlines()[1:]] == [str(kept)] * n
+
+
+def test_samples_csv_matches_the_row_formatter_on_clipped_outcomes():
+    # adversarial failures land 2 delta off the true value, clipped at +-(1 + delta)
+    batch = _flip_batch(3000, 0.25, failure_mode="adversarial_offset")
+    assert np.isin([-1.25, 1.25], batch.values).all()
+    assert_csv_matches_rows(batch)
+
+
+def test_samples_csv_matches_the_row_formatter_on_a_wide_grid_and_pooled_batches():
+    clocked = clock_orbit(build_wrapper_circuit(corpus.load("flipwalk")), "00")
+    assert clocked.r_nominal * clocked.circuit.s == 9690
+    for seeds in ([[1, 0]], [[1, b] for b in range(4)]):
+        assert_csv_matches_rows(draw_samples(clocked, 1 / 9690, 3000, seeds))
+
+
+def test_samples_csv_digest_over_more_than_one_chunk(tmp_path):
+    # captured from the row-at-a-time formatter the chunked writer replaced
+    run_experiment(
+        flip_config(tmp_path, out_dir=str(tmp_path), samples_per_batch=2000, batch_count=5, seed=5)
+    )
+    data = (tmp_path / "samples.csv").read_bytes()
+    assert data.count(b"\n") == 10_001 > CSV_CHUNK_ROWS
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "fbc5c6b8f188fbd063b52638e54c8b259bd9003aeccb8c06864434374e960d66"
+    )
 
 
 def test_experiment_seed_changes_samples(tmp_path):
