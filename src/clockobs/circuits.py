@@ -634,15 +634,21 @@ def build_wrapper_circuit(spec: RtmSpec, merge_cells: bool = True) -> Circuit:
     return Circuit(layout=layout, gates=tuple(gates))
 
 
-def _walk_source(circuit: Circuit) -> str:
-    """Source of ``walk(max_steps, start, t0, t1, ...)``: whole passes of the
+def _walk_shape(circuit: Circuit) -> tuple:
+    """All that ``_walk_source`` reads of a circuit: the wire dims and, per
+    gate, its fields and whether it moves any point."""
+    return circuit.layout.wire_dims(), tuple((g.fields, bool(len(g.moved))) for g in circuit.gates)
+
+
+def _walk_source(dims: tuple[int, ...], gates: tuple) -> str:
+    """Source of ``walk(max_steps, start, t0, t1, ...)`` for a circuit of
+    shape ``(dims, gates)`` (see ``_walk_shape``): whole passes of the
     circuit over one local per wire, gate k looking its field index up in the
     dict ``tk`` of moved points. Returns the first pass count that brings the
     wires back to ``start``, or None after ``max_steps`` passes. Values must
     be in range for their wires, so whole-wire digits need no ``%``."""
-    dims = circuit.layout.wire_dims()
     wires = ", ".join(f"v{w}" for w in range(len(dims))) + ","
-    tables = "".join(f", t{k}" for k in range(circuit.s))
+    tables = "".join(f", t{k}" for k in range(len(gates)))
     lines = [
         f"def walk(max_steps, start{tables}):",
         f"    {wires} = start",
@@ -654,12 +660,12 @@ def _walk_source(circuit: Circuit) -> str:
         text = var if stride == 1 else f"{var} // {stride}"
         return text if stride * dim == size else f"{text} % {dim}"
 
-    for k, gate in enumerate(circuit.gates):
-        if not len(gate.moved):
+    for k, (fields, moves) in enumerate(gates):
+        if not moves:
             continue  # the identity
-        size = math.prod(d for _, _, d in gate.fields)
+        size = math.prod(d for _, _, d in fields)
         radix, index, write = size, [], []
-        for w, stride, dim in gate.fields:
+        for w, stride, dim in fields:
             radix //= dim
             index.append(digit(f"v{w}", stride, dim, dims[w]) + (f" * {radix}" if radix > 1 else ""))
             new = digit("o", radix, dim, size)
@@ -678,11 +684,12 @@ def _walk_source(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-# compile() takes about 1 ms, more than a whole walk on a small machine, and
-# the source depends only on the circuit's shape, so repeat walks reuse it
+# generating the source and compile() take longer than a whole walk on a
+# small machine, and both depend only on the circuit's shape, so repeat walks
+# of one shape reuse the code
 @functools.lru_cache(maxsize=16)
-def _compile_walk(source: str):
-    return compile(source, "<circuit walk>", "exec")
+def _compile_walk(shape: tuple):
+    return compile(_walk_source(*shape), "<circuit walk>", "exec")
 
 
 def circuit_orbit_length(
@@ -697,7 +704,7 @@ def circuit_orbit_length(
     # a fresh namespace per call, with the tables passed as arguments: held
     # in ``walk.__globals__`` they would form a cycle only the full GC frees
     namespace: dict = {}
-    exec(_compile_walk(_walk_source(circuit)), namespace)
+    exec(_compile_walk(_walk_shape(circuit)), namespace)
     walk = namespace.pop("walk")
     tables = [dict(zip(g.moved.tolist(), g.image.tolist())) for g in circuit.gates]
     steps = walk(max_steps, start, *tables)

@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -26,12 +26,20 @@ EXIT_BUDGET = 3
 EXIT_IO = 4
 
 
+@contextmanager
+def _output(out: str | None):
+    """The text stream a command writes to: the file ``out``, or stdout."""
+    if not out:
+        yield sys.stdout
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        yield fh
+
+
 def _emit(data, out: str | None) -> None:
     text = data if isinstance(data, str) else json.dumps(data, sort_keys=True, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _cmd_validate(args) -> int:
@@ -96,7 +104,8 @@ def _draw(args) -> tuple[rtm.RtmSpec, metrology.SampleBatch]:
 
 def _cmd_sample(args) -> int:
     _, batch = _draw(args)
-    _emit(harness.samples_csv(batch), args.out)
+    with _output(args.out) as fh:
+        harness.write_samples_csv(batch, fh)
     return EXIT_OK
 
 

@@ -131,7 +131,9 @@ def cycle_eigenvalue(j: int | np.ndarray, d: int) -> float | np.ndarray:
     if np.ndim(j) == 0:
         return math.cos(2.0 * math.pi * j / d)
     distinct, inverse = np.unique(j, return_inverse=True)
-    return np.array([math.cos(2.0 * math.pi * k / d) for k in distinct.tolist()])[inverse]
+    # the angles round as the scalar branch's do: (2*pi * k) / d
+    angles = (2.0 * math.pi * distinct / d).tolist()
+    return np.fromiter(map(math.cos, angles), np.float64, len(angles))[inverse]
 
 
 def spectral_model(d: int) -> SpectralModel:

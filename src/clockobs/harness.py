@@ -24,7 +24,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, TextIO
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from . import circuits, clock, metrology, rtm
 from .errors import BudgetExceededError, ClockObsError, StageError
 
 AUTO_ACCURACY = "auto"
-CSV_CHUNK_ROWS = 8192  # rows of ``samples_csv`` text built per join
+CSV_CHUNK_ROWS = metrology.CHUNK_ROWS  # rows of samples.csv built per write
 
 
 @dataclass(frozen=True)
@@ -161,32 +161,36 @@ def clock_orbit(circuit: circuits.Circuit, input_word: str) -> ClockedCircuit:
 def draw_samples(
     clocked: ClockedCircuit, accuracy: float, n: int, seeds: list
 ) -> metrology.SampleBatch:
-    """Stage sample: n measurements per key in ``seeds``, pooled into one
-    batch. The experimenter's grid is the nominal cycle length, not the
-    observed one, so the accuracy cannot leak the answer."""
+    """Stage sample: n measurements per key in ``seeds``, drawn batch by batch
+    into one array. The experimenter's grid is the nominal cycle length, not
+    the observed one, so the accuracy cannot leak the answer."""
     with _stage("sample"):
         r, s, d = clocked.r_nominal, clocked.circuit.s, clocked.orbit.dimension
         acc_model = metrology.AccuracyModel(delta=accuracy)
-        values = [metrology.draw_batch(acc_model, d, n, seed=key, r=r, s=s).values for key in seeds]
-        return metrology.SampleBatch(np.concatenate(values), acc_model, r, s, batches=len(seeds))
+        values = np.empty(n * len(seeds))
+        for b, key in enumerate(seeds):
+            metrology.draw_batch(acc_model, d, n, seed=key, r=r, s=s, out=values[b * n:(b + 1) * n])
+        values.flags.writeable = False
+        return metrology.SampleBatch(values, acc_model, r, s, batches=len(seeds))
 
 
-def samples_csv(batch: metrology.SampleBatch) -> str:
-    """One row per sample: trial, raw value, kept flag, grid index, parity;
-    built a column at a time per chunk of rows, with one suffix per distinct
-    grid index, so the float ``repr`` the CSV bytes pin is most of the cost."""
-    kept, j = metrology.filter_round(batch.values, batch.r, batch.s)
-    grid, row = np.unique(np.where(kept, j, -1), return_inverse=True)
-    suffix = np.array([f",1,{k},{k % 2}\n" if k >= 0 else ",0,,\n" for k in grid.tolist()], object)
-    text = ["trial,raw_value,filtered,j,parity\n"]
-    for a in range(0, len(row), CSV_CHUNK_ROWS):
-        b = min(a + CSV_CHUNK_ROWS, len(row))
-        parts = [","] * (4 * (b - a))  # trial, ",", raw value, suffix
-        parts[0::4] = map(str, range(a, b))
-        parts[2::4] = map(repr, batch.values[a:b].tolist())
-        parts[3::4] = suffix[row[a:b]].tolist()
-        text.append("".join(parts))
-    return "".join(text)
+def write_samples_csv(batch: metrology.SampleBatch, fh: TextIO) -> None:
+    """Write samples.csv to the text stream ``fh``, one row per sample: trial,
+    raw value, kept flag, grid index, parity. Each chunk of rows is rounded,
+    built a column at a time with one suffix per distinct grid index, and
+    written before the next, so the float ``repr`` the CSV bytes pin is most
+    of the cost and the text held is one chunk's."""
+    fh.write("trial,raw_value,filtered,j,parity\n")
+    for a in range(0, batch.values.size, CSV_CHUNK_ROWS):
+        values = batch.values[a:a + CSV_CHUNK_ROWS]
+        kept, j = metrology.filter_round(values, batch.r, batch.s)
+        grid, row = np.unique(np.where(kept, j, -1), return_inverse=True)
+        suffix = [f",1,{k},{k % 2}\n" if k >= 0 else ",0,,\n" for k in grid.tolist()]
+        parts = [","] * (4 * values.size)  # trial, ",", raw value, suffix
+        parts[0::4] = map(str, range(a, a + values.size))
+        parts[2::4] = map(repr, values.tolist())
+        parts[3::4] = np.array(suffix, object)[row].tolist()
+        fh.write("".join(parts))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -260,6 +264,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             out = Path(config.out_dir)
             out.mkdir(parents=True, exist_ok=True)
             (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-            (out / "samples.csv").write_text(samples_csv(pooled), encoding="utf-8")
+            with open(out / "samples.csv", "w", encoding="utf-8") as fh:
+                write_samples_csv(pooled, fh)
     return report
 

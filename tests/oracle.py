@@ -9,9 +9,11 @@ the sweep here decides it by stepping every configuration with
 ``orbit_length_by_steps`` walks them one ``PermGate.apply_values`` at a time.
 ``clock.spectral_model`` gives the d-cycle's spectrum in closed form;
 ``dense_orbit_oracle`` recomputes it numerically from the d x d matrix, as
-the independent check of that formula. ``harness.samples_csv`` builds the
-samples CSV a chunk and a column at a time; ``samples_csv_by_rows`` formats
-it one row at a time.
+the independent check of that formula. ``harness.write_samples_csv`` writes
+the samples CSV a chunk and a column at a time; ``samples_csv_by_rows``
+formats it one row at a time. ``metrology.draw_measurements`` draws a chunk
+of rows at a time; ``draw_measurements_whole`` makes each draw as one
+whole-array call.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from typing import Iterable
 import numpy as np
 
 from clockobs.circuits import BasisState, Circuit
-from clockobs.clock import SpectralModel
+from clockobs.clock import SpectralModel, cycle_eigenvalue
 from clockobs.errors import BudgetExceededError, MachineStepError
-from clockobs.metrology import SampleBatch, filter_round
+from clockobs.metrology import AccuracyModel, SampleBatch, filter_round
 from clockobs.rtm import (
     MachineConfig,
     MovingRule,
@@ -174,9 +176,25 @@ def dense_orbit_oracle(d: int) -> np.ndarray:
 
 
 def samples_csv_by_rows(batch: SampleBatch) -> str:
-    """``harness.samples_csv`` with one f-string per row."""
+    """The text ``harness.write_samples_csv`` writes, one f-string per row."""
     kept, j = filter_round(batch.values, batch.r, batch.s)
     rows = enumerate(zip(batch.values.tolist(), kept.tolist(), j.tolist()))
     return "trial,raw_value,filtered,j,parity\n" + "".join(
         f"{t},{v!r},1,{k},{k % 2}\n" if keep else f"{t},{v!r},0,,\n" for t, (v, keep, k) in rows
     )
+
+
+def draw_measurements_whole(
+    acc: AccuracyModel, d: int, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``metrology.draw_measurements`` with every draw made over all n rows."""
+    true = cycle_eigenvalue(rng.integers(d, size=n), d)
+    failed = rng.random(n) >= acc.success_prob
+    outcomes = true + rng.uniform(-acc.delta, acc.delta, n)
+    lo, hi = -1.0 - acc.delta, 1.0 + acc.delta
+    if acc.failure_mode == "uniform_full_range":
+        outcomes[failed] = rng.uniform(lo, hi, np.count_nonzero(failed))
+    else:
+        sign = np.where(rng.random(np.count_nonzero(failed)) < 0.5, 1.0, -1.0)
+        outcomes[failed] = np.clip(true[failed] + sign * 2.0 * acc.delta, lo, hi)
+    return outcomes, true

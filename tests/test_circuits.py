@@ -635,19 +635,26 @@ def test_orbit_walk_matches_stepping_oracle_on_generated_machines():
         compared += 1
 
 
-def test_orbit_walk_matches_stepping_oracle_from_every_clock_position():
+def test_orbit_walk_matches_stepping_oracle_from_every_clock_position(monkeypatch):
     # merged flipwalk has 19 gates, more than the 16 walks the compile cache
-    # holds, so every clock position must reuse the circuit's one walk
+    # holds, so every clock position must reuse the circuit's one walk; the
+    # cache is keyed on the circuit's shape, so a hit generates no source
+    generated = []
+    source = circuits._walk_source
+    monkeypatch.setattr(
+        circuits, "_walk_source", lambda *shape: generated.append(shape) or source(*shape)
+    )
     for name, word, merged in (("flip", "0", False), ("flipwalk", "00", True)):
         circuit = build_wrapper_circuit(corpus.load(name), merge_cells=merged)
         op, gates = ForwardOperator(circuit), circuit.gates
         start = circuit.layout.initial_basis_state(word)
-        misses = circuits._compile_walk.cache_info().misses
+        misses, generated[:] = circuits._compile_walk.cache_info().misses, []
         for c in range(circuit.s):
             rotated = Circuit(circuit.layout, gates[c:] + gates[:c])
             d = compute_orbit(op, ClockedState(start, c + 1)).dimension
             assert d == circuit.s * orbit_length_by_steps(rotated, start), (name, c)
-        assert circuits._compile_walk.cache_info().misses - misses <= 1, name
+        new_misses = circuits._compile_walk.cache_info().misses - misses
+        assert len(generated) == new_misses <= 1, name
 
 
 def test_orbit_walk_leaves_no_reference_cycles():

@@ -1,9 +1,11 @@
 import hashlib
+import io
 import itertools
 import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -28,10 +30,12 @@ from clockobs.harness import (
     draw_samples,
     resolve_accuracy,
     run_experiment,
-    samples_csv,
+    write_samples_csv,
 )
 from clockobs.metrology import PhaseEstimationSetup, filter_round, sample_phase_estimate
 from oracle import samples_csv_by_rows
+
+FLIP = str(corpus.path("flip"))
 
 
 def flip_config(tmp_path, **overrides):
@@ -151,9 +155,15 @@ def _flip_batch(n: int, delta: float = 1 / 450, **model) -> metrology.SampleBatc
     return metrology.draw_batch(acc, 450, n, seed=3, r=45, s=10)
 
 
+def samples_csv(batch: metrology.SampleBatch) -> str:
+    out = io.StringIO()
+    write_samples_csv(batch, out)
+    return out.getvalue()
+
+
 def assert_csv_matches_rows(batch: metrology.SampleBatch) -> str:
-    """``samples_csv`` equals the row formatter; a failure names the first
-    row that differs, not a diff of the whole text."""
+    """``write_samples_csv`` writes what the row formatter builds; a failure
+    names the first row that differs, not a diff of the whole text."""
     text = samples_csv(batch)
     got, want = text.splitlines(), samples_csv_by_rows(batch).splitlines()
     first = [(i, a, b) for i, (a, b) in enumerate(zip(got, want)) if a != b][:1]
@@ -201,6 +211,67 @@ def test_samples_csv_digest_over_more_than_one_chunk(tmp_path):
         hashlib.sha256(data).hexdigest()
         == "fbc5c6b8f188fbd063b52638e54c8b259bd9003aeccb8c06864434374e960d66"
     )
+
+
+def test_every_samples_csv_stream_matches_the_row_formatter_over_three_chunks(tmp_path, capsys):
+    clocked = clock_orbit(build_wrapper_circuit(corpus.load("flip")), "0")
+    per, seeds = 6000, [batch_seed(5, b) for b in range(3)]
+    run_experiment(
+        flip_config(tmp_path, out_dir=str(tmp_path), samples_per_batch=per, batch_count=3, seed=5)
+    )
+    want = samples_csv_by_rows(draw_samples(clocked, 1 / 450, per, seeds))
+    assert want.count("\n") == 3 * per + 1 > 2 * CSV_CHUNK_ROWS + 1
+    assert (tmp_path / "samples.csv").read_bytes() == want.encode()
+
+    n = 2 * CSV_CHUNK_ROWS + 7
+    want = samples_csv_by_rows(draw_samples(clocked, 1 / 450, n, [3])).encode()
+    argv = ["sample", FLIP, "--input", "0", "--samples", str(n), "--seed", "3"]
+    assert cli_dispatch(argv) == EXIT_OK
+    assert capsys.readouterr().out.encode() == want
+    assert cli_dispatch([*argv, "--out", str(tmp_path / "sample.csv")]) == EXIT_OK
+    assert (tmp_path / "sample.csv").read_bytes() == want
+
+
+class _Discard(io.TextIOBase):
+    """A text stream that drops what it is given."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_samples_csv_writer_holds_one_chunk_whatever_the_row_count():
+    # 2 and 8 chunks of rows: text kept from chunk to chunk would add about
+    # 40 bytes a row. (At 100k and 400k rows the peaks are as flat, but
+    # tracing takes about 11 us a row.)
+    small, large = (_flip_batch(k * CSV_CHUNK_ROWS) for k in (2, 8))
+    peaks = [_traced_peak(write_samples_csv, batch, _Discard()) for batch in (small, large)]
+    assert abs(peaks[1] - peaks[0]) < 1_000_000, peaks
+
+
+@pytest.mark.parametrize("batches", [1, 8])
+def test_draw_and_decide_peak_within_one_and_a_half_sample_arrays(batches):
+    clocked = clock_orbit(build_wrapper_circuit(corpus.load("flip")), "0")
+    seeds = [[2, b] for b in range(batches)]
+    tracemalloc.start()
+    try:
+        batch = draw_samples(clocked, 1 / 450, 400_000 // batches, seeds)
+        drawn = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        metrology.decide(batch)
+        decided = tracemalloc.get_traced_memory()[1]  # counts the held samples too
+    finally:
+        tracemalloc.stop()
+    assert batch.values.nbytes == 3_200_000
+    assert max(drawn, decided) <= 1.5 * batch.values.nbytes, (drawn, decided)
 
 
 def test_experiment_seed_changes_samples(tmp_path):
@@ -492,7 +563,6 @@ def test_cli_entrypoint_runs_as_module():
     assert proc.stdout.startswith("j,eigenvalue")
 
 
-FLIP = str(corpus.path("flip"))
 BAD_CONFIGS = {
     "unknown-key": {"spec_path": FLIP, "input_word": "0", "bogus": 1},
     "bool-accuracy": {"spec_path": FLIP, "input_word": "0", "accuracy": True},

@@ -4,11 +4,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from oracle import draw_measurements_whole
 from scipy import stats
 
 from clockobs.clock import spectral_model
 from clockobs.metrology import (
+    CHUNK_ROWS,
     DECISION_THRESHOLD,
+    FAILURE_MODES,
     FILTER_BAND,
     MIN_FILTERED,
     PROBABILITY_GAP,
@@ -113,6 +116,17 @@ def test_batches_reproducible_by_seed():
     assert not np.array_equal(a.values, c.values)
 
 
+@pytest.mark.parametrize("mode", FAILURE_MODES)
+@pytest.mark.parametrize("d", [1, 450, 19380])
+def test_chunked_draws_equal_one_whole_array_draw(d, mode):
+    acc = AccuracyModel(delta=0.01, failure_mode=mode)
+    n = 2 * CHUNK_ROWS + 7
+    chunked, whole = np.random.default_rng(8), np.random.default_rng(8)
+    got, want = draw_measurements(acc, d, n, chunked), draw_measurements_whole(acc, d, n, whole)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert chunked.random() == whole.random()  # the same draws were used up
+
+
 def test_sample_batch_values_are_read_only():
     source = np.array([0.1, 0.2, 0.3, 0.4])
     batch = SampleBatch(source, AccuracyModel(delta=0.0), 2, 2, batches=2)
@@ -123,6 +137,17 @@ def test_sample_batch_values_are_read_only():
     assert batch.values[0] == 0.1
     drawn = draw_batch(AccuracyModel(delta=0.01), 8, 16, seed=1, r=2, s=2)
     assert not drawn.values.flags.writeable
+
+
+def test_sample_batch_keeps_a_read_only_array_without_a_copy():
+    source = np.array([0.1, 0.2])
+    source.flags.writeable = False
+    assert SampleBatch(source, AccuracyModel(delta=0.0), 2, 2).values is source
+    acc, pooled = AccuracyModel(delta=0.01), np.zeros(32)
+    drawn = draw_batch(acc, 8, 16, seed=1, r=2, s=2, out=pooled[16:])
+    assert np.shares_memory(drawn.values, pooled) and not drawn.values.flags.writeable
+    assert np.array_equal(drawn.values, draw_batch(acc, 8, 16, seed=1, r=2, s=2).values)
+    assert not pooled[:16].any()
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +266,28 @@ def test_decide_tallies_each_pooled_batch():
     assert pooled.filtered_count == sum(pooled.batch_kept)
     assert {type(k) for k in pooled.batch_kept} == {int}
     assert {type(f) for f in pooled.batch_odd_fraction} == {float}
+
+
+@pytest.mark.parametrize(
+    "per,batches", [(5000, 4), (2 * CHUNK_ROWS + 1, 2), (1, 2 * CHUNK_ROWS + 3)]
+)
+def test_decide_tallies_batches_that_straddle_chunks(per, batches):
+    r, s = 45, 10
+    acc = AccuracyModel(delta=1.0 / (r * s))
+    values = draw_batch(acc, 2 * r * s, per * batches, seed=4, r=r, s=s).values
+    result = decide(SampleBatch(values, acc, r, s, batches=batches))
+    kept, j = filter_round(values, r, s)
+    kept_per = kept.reshape(batches, per).sum(axis=1).tolist()
+    odd_per = (kept & (j % 2 == 1)).reshape(batches, per).sum(axis=1).tolist()
+    assert result.batch_kept == tuple(kept_per)
+    odd_fractions = tuple(o / k if k else 0.0 for o, k in zip(odd_per, kept_per))
+    assert result.batch_odd_fraction == odd_fractions
+    assert result.odd_fraction == sum(odd_per) / sum(kept_per)
+
+
+def test_decide_refuses_batches_of_unequal_length():
+    with pytest.raises(ValueError, match="10 values do not split into 3 equal batches"):
+        decide(SampleBatch(np.zeros(10), AccuracyModel(delta=0.0), 2, 2, batches=3))
 
 
 def test_decide_small_batch_is_inconclusive():
