@@ -186,20 +186,25 @@ class PermGate:
     __slots__ = ("support", "dims", "fields", "moved", "image", "label")
 
     def __init__(self, support, dims, table, label: str, fields=None) -> None:
-        self.support, self.dims, self.label = tuple(support), tuple(dims), label
+        support, dims = tuple(support), tuple(dims)
         if fields is None:
-            fields = [(w, 1, d) for w, d in zip(self.support, self.dims)]
-        self.fields = tuple(tuple(f) for f in fields)
+            fields = [(w, 1, d) for w, d in zip(support, dims)]
+        fields = tuple(tuple(f) for f in fields)
         table = np.asarray(table)
-        size = math.prod(d for _, _, d in self.fields)
+        size = math.prod(d for _, _, d in fields)
         if len(table) != size:
             raise PermutationError(f"gate {label}: table size {len(table)} != {size}")
-        if not np.array_equal(np.sort(table), np.arange(size)):
+        # integers in range and every value hit: a bijection, checked in O(size)
+        if (table.dtype.kind not in "biu" or table.min() < 0 or table.max() >= size
+                or not np.bincount(table, minlength=size).all()):
             raise PermutationError(f"gate {label}: table is not a bijection")
         dtype = np.min_scalar_type(size - 1)
         moved = np.flatnonzero(table != np.arange(size))
-        self.moved, self.image = moved.astype(dtype), table[moved].astype(dtype)
-        self.moved.flags.writeable = self.image.flags.writeable = False
+        moved, image = moved.astype(dtype), table[moved].astype(dtype)
+        moved.flags.writeable = image.flags.writeable = False
+        # set past the read-only guard, which is for changes after construction
+        for name, value in zip(self.__slots__, (support, dims, fields, moved, image, label)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
         if hasattr(self, name):
@@ -372,7 +377,8 @@ def complete_permutation(size: int, required: dict[int, int]) -> np.ndarray:
         images[v] = k
     perm = np.arange(size)
     src, dst = list(required), list(required.values())
-    domain, taken = np.isin(perm, src), np.isin(perm, dst)
+    domain, taken = np.zeros(size, bool), np.zeros(size, bool)
+    domain[src] = taken[dst] = True
     perm[src] = dst
     perm[taken & ~domain] = np.flatnonzero(domain & ~taken)  # displaced points fill the gaps
     return perm
@@ -555,13 +561,14 @@ def _bookkeeping_maps(layout: RegisterLayout) -> list[tuple[str, tuple, Callable
     """V's counters, answer copy and mode changes as ``(label, registers read,
     fn)``, each ``fn`` on index arrays as ``lift_gate`` describes."""
     spec, cmax, csize = layout.spec, layout.counter_max, layout.counter_size
-    final_idx = [spec.state_index[s] for s in spec.final_states]
+    is_final = np.zeros(len(spec.states), bool)
+    is_final[[spec.state_index[s] for s in spec.final_states]] = True
     accept = spec.symbol_index.get(ACCEPT_SYMBOL, -1)
     rc_reg = tape_register(spec.result_cell)
 
     # counter: up in run/pad, down in unwind modes
     def counter_fn(env):
-        step = np.where(np.isin(env[R_MODE], (MODE_RUN, MODE_PAD)), 1, -1)
+        step = np.where((env[R_MODE] == MODE_RUN) | (env[R_MODE] == MODE_PAD), 1, -1)
         return {R_COUNTER: (env[R_COUNTER] + step) % csize}
 
     # idle counter: up in pad, down in unwind-pad, held elsewhere. The
@@ -581,11 +588,11 @@ def _bookkeeping_maps(layout: RegisterLayout) -> list[tuple[str, tuple, Callable
     def swap_modes(a, b, cond):
         def fn(env):
             mode = env[R_MODE]
-            return {R_MODE: np.where(cond(env) & np.isin(mode, (a, b)), a + b - mode, mode)}
+            return {R_MODE: np.where(cond(env) & ((mode == a) | (mode == b)), a + b - mode, mode)}
 
         return fn
 
-    halted = lambda env: (env[R_IDLE] == 0) & np.isin(env[R_HEAD], final_idx)  # noqa: E731
+    halted = lambda env: (env[R_IDLE] == 0) & is_final[env[R_HEAD]]  # noqa: E731
     at_top = lambda env: env[R_COUNTER] == cmax  # noqa: E731
     at_zero = lambda env: env[R_COUNTER] == 0  # noqa: E731
     return [

@@ -9,6 +9,7 @@ codes: 0 success, 2 validation failure, 3 budget exhaustion, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -52,7 +53,9 @@ def _cmd_validate(args) -> int:
 def _cmd_compile(args) -> int:
     spec = rtm.parse_rtm_file(args.spec)
     circuit = harness.compile_circuit(spec, not args.no_merge_cells)
-    _emit(circuits.dump_circuit_json(circuit) + "\n", args.out)
+    with _output(args.out) as fh:  # two writes: no copy of a dump of tens of MB
+        fh.write(circuits.dump_circuit_json(circuit))
+        fh.write("\n")
     return EXIT_OK
 
 
@@ -197,6 +200,7 @@ class _CommandParser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@functools.cache  # built once per process; each parse_args fills a new namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = _CommandParser(
         prog="clockobs",

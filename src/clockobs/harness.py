@@ -33,6 +33,7 @@ from .errors import BudgetExceededError, ClockObsError, StageError
 
 AUTO_ACCURACY = "auto"
 CSV_CHUNK_ROWS = metrology.CHUNK_ROWS  # rows of samples.csv built per write
+MAX_BATCHES = 10_000  # each batch has its own generator and report entries
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
+        if self.batch_count > MAX_BATCHES:
+            raise BudgetExceededError(f"{self.batch_count} batches exceed the cap {MAX_BATCHES}")
         metrology.check_sample_budget(self.samples_per_batch * self.batch_count)
         resolve_accuracy(self.accuracy, 1, 1)
 

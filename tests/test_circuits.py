@@ -93,9 +93,22 @@ def test_complete_permutation_rejects_collisions():
         complete_permutation(3, {0: 2, 1: 2})
 
 
-def test_perm_gate_rejects_non_bijection():
+@pytest.mark.parametrize(
+    "table",
+    [
+        np.array([0, 0]),
+        np.array([-1, 1]),
+        np.array([0, 2]),
+        np.array([1, 1], dtype=np.uint8),
+        np.array([1.5, 0.0]),
+    ],
+    ids=["duplicate", "negative", "equal-to-size", "uint8", "float"],
+)
+def test_perm_gate_rejects_non_bijection(table):
+    # a bad entry must not reach numpy as an index (IndexError), a count
+    # (ValueError) or a cast (TypeError)
     with pytest.raises(PermutationError, match="not a bijection"):
-        PermGate(support=(0,), dims=(2,), table=np.array([0, 0]), label="bad")
+        PermGate(support=(0,), dims=(2,), table=table, label="bad")
 
 
 def test_perm_gate_table_is_read_only():
@@ -848,6 +861,14 @@ def test_replay_dump_rejects_corrupted_table():
     dump = dump_circuit(build_wrapper_circuit(corpus.load("halt")))
     table = dump["gates"][0]["table"]
     table[0] = table[1]
+    state = wrapper_layout(corpus.load("halt")).initial_basis_state("0")
+    with pytest.raises(PermutationError, match="not a bijection"):
+        replay_dump(dump, state.values)
+
+
+def test_replay_dump_rejects_negative_table_entry():
+    dump = dump_circuit(build_wrapper_circuit(corpus.load("halt")))
+    dump["gates"][0]["table"][0] = -1
     state = wrapper_layout(corpus.load("halt")).initial_basis_state("0")
     with pytest.raises(PermutationError, match="not a bijection"):
         replay_dump(dump, state.values)

@@ -19,11 +19,13 @@ from clockobs.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
+    build_parser,
     cli_dispatch,
 )
-from clockobs.errors import StageError
+from clockobs.errors import BudgetExceededError, StageError
 from clockobs.harness import (
     CSV_CHUNK_ROWS,
+    MAX_BATCHES,
     ExperimentConfig,
     batch_seed,
     clock_orbit,
@@ -34,6 +36,7 @@ from clockobs.harness import (
 )
 from clockobs.metrology import PhaseEstimationSetup, filter_round, sample_phase_estimate
 from oracle import samples_csv_by_rows
+from test_pinned_behaviour import WRAPPER_DUMPS
 
 FLIP = str(corpus.path("flip"))
 
@@ -458,6 +461,20 @@ def test_cli_compile_and_replay(tmp_path):
     assert len(dump["gates"]) > 0
 
 
+def test_cached_parser_carries_no_option_between_calls(tmp_path, capsys):
+    # the parser is built once per process; each call must still start clean
+    assert build_parser() is build_parser()
+    assert cli_dispatch(["compile"]) == EXIT_VALIDATION
+    capsys.readouterr()
+    for merged in (False, True):
+        out = tmp_path / f"flip-{merged}.json"
+        flag = [] if merged else ["--no-merge-cells"]
+        assert cli_dispatch(["compile", FLIP, *flag, "--out", str(out)]) == EXIT_OK
+        data = out.read_bytes()
+        assert data.endswith(b"}\n")
+        assert hashlib.sha256(data[:-1]).hexdigest() == WRAPPER_DUMPS[("flip", merged)]
+
+
 def test_cli_sample_csv(capsys):
     code = cli_dispatch(
         ["sample", str(corpus.path("flip")), "--input", "0", "--samples", "20", "--seed", "4"]
@@ -632,6 +649,17 @@ def write_wide(tmp_path, cells: int = 24) -> str:
         encoding="utf-8",
     )
     return str(wide)
+
+
+def test_batch_count_is_capped(capsys):
+    # each batch costs a generator and report entries even at one sample
+    ExperimentConfig(FLIP, "0", samples_per_batch=1, batch_count=MAX_BATCHES)
+    message = f"{MAX_BATCHES + 1} batches exceed the cap {MAX_BATCHES}"
+    with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+        ExperimentConfig(FLIP, "0", samples_per_batch=1, batch_count=MAX_BATCHES + 1)
+    argv = ["experiment", "--spec", FLIP, "--input", "0", "--batches", str(MAX_BATCHES + 1)]
+    assert cli_dispatch(argv) == EXIT_BUDGET
+    assert capsys.readouterr().err == f"[budget] {message}\n"
 
 
 def test_cli_validate_wide_machine_from_the_rules(tmp_path, capsys):
