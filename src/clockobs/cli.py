@@ -134,20 +134,22 @@ def _parse_phi(text: str) -> float:
         return float(Fraction(text))
     except ZeroDivisionError:
         raise ValueError(f"phase {text!r} divides by zero") from None
+    except OverflowError:
+        raise ValueError(f"phase {text!r} is too large for a float") from None
 
 
 def _cmd_phase_estimate(args) -> int:
-    setup = metrology.PhaseEstimationSetup(m=args.m, eigenphases=(_parse_phi(args.phi),))
-    table = metrology.phase_estimate_distribution(setup)
+    phi = _parse_phi(args.phi)
+    table = metrology.phase_estimate_distribution(args.m, phi)
     result = {
         "m": args.m,
-        "phi": _parse_phi(args.phi),
+        "phi": phi,
         "distribution": [float(p) for p in table],
         "argmax": int(table.argmax()),
     }
     if args.samples:
         rng = np.random.default_rng(args.seed)
-        draws = metrology.sample_phase_estimate(setup, rng, args.samples)
+        draws = metrology.sample_phase_estimate(table, rng, args.samples)
         result["sample_counts"] = np.bincount(draws, minlength=len(table)).tolist()
         result["samples"] = args.samples
         result["seed"] = args.seed

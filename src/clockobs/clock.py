@@ -57,24 +57,6 @@ class ForwardOperator:
         return self.circuit.s
 
 
-def _check_clock(op: ForwardOperator, state: ClockedState) -> None:
-    if not 1 <= state.clock_pos <= op.s:
-        raise DimensionError(
-            f"clock position {state.clock_pos} outside 1..{op.s}; "
-            "only one-hot clock states are supported"
-        )
-
-
-def apply_forward(op: ForwardOperator, state: ClockedState) -> ClockedState:
-    """Apply the gate under the clock and advance the excitation (s wraps to 1)."""
-    _check_clock(op, state)
-    gate = op.circuit.gates[state.clock_pos - 1]
-    values = list(state.circuit_state.values)
-    gate.apply_values(values)
-    nxt = state.clock_pos % op.s + 1
-    return ClockedState(BasisState(tuple(values)), nxt)
-
-
 @dataclass(frozen=True)
 class Orbit:
     """The cycle of the forward operator through ``initial``; ``dimension``
@@ -99,8 +81,12 @@ def compute_orbit(
     counted in whole passes; without it ``circuit_orbit_length``'s pass
     budget applies.
     """
-    _check_clock(op, initial)
     c, s, start = initial.clock_pos - 1, op.s, initial.circuit_state
+    if not 0 <= c < s:
+        raise DimensionError(
+            f"clock position {initial.clock_pos} outside 1..{s}; "
+            "only one-hot clock states are supported"
+        )
     if c:
         start = apply_circuit(Circuit(op.circuit.layout, op.circuit.gates[c:]), start)
     passes = None if max_steps is None else max_steps // s

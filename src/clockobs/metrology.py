@@ -18,7 +18,7 @@ odd fraction at 5/16 decides the answer, with a standard exponential
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from .clock import cycle_eigenvalue
@@ -98,22 +98,12 @@ def check_sample_budget(n: int) -> None:
         raise BudgetExceededError(f"{n} samples exceed the cap {MAX_SAMPLES}")
 
 
-def draw_measurements(
-    acc: AccuracyModel, d: int, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """n accuracy-limited measurements on the d-cycle, as the arrays (outcomes,
-    true eigenvalues). A uniform position u gives the true value cos(2*pi*u/d)
-    with its exact (1/d, 2/d) weight, because u and d-u fold onto one value."""
-    outcomes, true = np.empty(n), np.empty(n)
-    _fill_measurements(acc, d, rng, outcomes, true)
-    return outcomes, true
-
-
 def _fill_measurements(
-    acc: AccuracyModel, d: int, rng: np.random.Generator, out: np.ndarray, true=None
+    acc: AccuracyModel, d: int, rng: np.random.Generator, out: np.ndarray
 ) -> None:
-    """Fill ``out`` with measurements drawn from ``rng`` (and ``true``, if
-    given, with their true eigenvalues), ``CHUNK_ROWS`` at a time. The draws
+    """Fill ``out`` with measurements drawn from ``rng``, ``CHUNK_ROWS`` at a
+    time. A uniform position u gives the true value cos(2*pi*u/d) with its
+    exact (1/d, 2/d) weight, because u and d-u fold onto one value. The draws
     keep the order of one whole-array call: every position, then every
     success flag, every noise term, and the failed outcomes; each of those
     streams split into chunks gives the same numbers as drawn whole, so the
@@ -123,8 +113,6 @@ def _fill_measurements(
     parts = np.split(out, cuts)
     for part in parts:  # outcomes hold the true values until the noise is added
         part[:] = cycle_eigenvalue(rng.integers(d, size=part.size), d)
-    if true is not None:
-        true[:] = out
     failed = np.split(np.empty(len(out), bool), cuts)
     for flags in failed:
         flags[:] = rng.random(flags.size) >= acc.success_prob
@@ -214,60 +202,28 @@ def decide(batch: SampleBatch) -> DecisionResult:
 # ---------------------------------------------------------------------------
 # phase estimation with m ancillas
 
-@dataclass(frozen=True)
-class PhaseEstimationSetup:
-    """Spectral data fed to the ancilla-register readout circuit: eigenphases
-    in [0,1) and the input vector's amplitude on each eigenvector."""
+def phase_estimate_distribution(m: int, phi: float) -> np.ndarray:
+    """Exact outcome distribution over j in [0, 2^m) for the eigenphase phi.
 
-    m: int
-    eigenphases: tuple[float, ...]
-    amplitudes: tuple[complex, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("need at least one ancilla")
-        if self.m > PHASE_ANCILLA_CAP:
-            raise ValueError(f"m={self.m} exceeds the cap {PHASE_ANCILLA_CAP}")
-        if not self.eigenphases:
-            raise ValueError("need at least one eigenphase")
-        amps = self.amplitudes
-        if not amps:
-            amps = tuple(1.0 / math.sqrt(len(self.eigenphases)) for _ in self.eigenphases)
-            object.__setattr__(self, "amplitudes", amps)
-        if len(amps) != len(self.eigenphases):
-            raise ValueError("amplitudes and eigenphases must align")
-        norm = sum(abs(a) ** 2 for a in amps)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"input amplitudes not normalized (|.|^2 sums to {norm})")
-
-
-def phase_estimate_distribution(setup: PhaseEstimationSetup) -> np.ndarray:
-    """Exact outcome distribution over j in [0, 2^m).
-
-    Per eigenphase phi the ancilla register, prepared in the equal
-    superposition, picks up phases e^{2 pi i phi y} from the controlled
-    powers; the size-2^m Fourier transform concentrates the readout near
-    j ~ 2^m phi with the squared Dirichlet kernel
-    P(j) = (sin(M pi delta) / (M sin(pi delta)))^2, delta = phi - j/M.
-    Orthogonal eigenvector components mix classically by |amplitude|^2.
+    The ancilla register, prepared in the equal superposition, picks up
+    phases e^{2 pi i phi y} from the controlled powers; the size-2^m Fourier
+    transform concentrates the readout near j ~ 2^m phi with the squared
+    Dirichlet kernel P(j) = (sin(M pi delta) / (M sin(pi delta)))^2,
+    delta = phi - j/M.
     """
-    size = 2**setup.m
-    j = np.arange(size)
-    total = np.zeros(size)
-    for phi, amp in zip(setup.eigenphases, setup.amplitudes):
-        delta = (phi % 1.0) - j / size
-        # |delta| < 1 here, so sinc(delta) never vanishes and the
-        # delta -> 0 limit (a point mass) comes out exactly
-        kernel = (np.sinc(size * delta) / np.sinc(delta)) ** 2
-        total += (abs(amp) ** 2) * kernel
-    return total
+    if not 1 <= m <= PHASE_ANCILLA_CAP:
+        raise ValueError(f"ancilla count m={m} outside 1..{PHASE_ANCILLA_CAP} (the cap)")
+    if not 0.0 <= phi < 1.0:
+        raise ValueError(f"eigenphase {phi!r} outside [0, 1)")
+    size = 2**m
+    delta = phi - np.arange(size) / size
+    # |delta| < 1 here, so sinc(delta) never vanishes and the delta -> 0
+    # limit (a point mass) comes out exactly
+    return (np.sinc(size * delta) / np.sinc(delta)) ** 2
 
 
-def sample_phase_estimate(
-    setup: PhaseEstimationSetup, rng: np.random.Generator, n: int
-) -> np.ndarray:
-    """n readouts drawn from the exact distribution in one call; the same
+def sample_phase_estimate(table: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n readouts drawn from the distribution ``table`` in one call; the same
     draws as n single-readout draws from ``rng``."""
     check_sample_budget(n)
-    probs = phase_estimate_distribution(setup)
-    return rng.choice(len(probs), size=n, p=probs / probs.sum())
+    return rng.choice(len(table), size=n, p=table / table.sum())

@@ -1,19 +1,23 @@
 """Test-only references: an exhaustive reversibility sweep with a seeded
-generator of small machines to run it on, a gate-by-gate orbit walk, and a
-dense eigensolver for the clock spectrum.
+generator of small machines to run it on, a step-by-step forward operator
+and a gate-by-gate orbit walk, and a dense eigensolver for the clock
+spectrum.
 
 ``rtm.check_reversibility`` decides reversibility from the transition rules;
 the sweep here decides it by stepping every configuration with
 ``rtm.step_machine``, so the two can be compared machine by machine.
-``circuits.circuit_orbit_length`` walks whole passes as generated code;
-``orbit_length_by_steps`` walks them one ``PermGate.apply_values`` at a time.
+``clock.compute_orbit`` and ``circuits.circuit_orbit_length`` walk whole
+passes as generated code; ``apply_forward`` takes one forward step of the
+clocked circuit, and ``orbit_length_by_steps`` walks passes one
+``PermGate.apply_values`` at a time.
 ``clock.spectral_model`` gives the d-cycle's spectrum in closed form;
 ``dense_orbit_oracle`` recomputes it numerically from the d x d matrix, as
 the independent check of that formula. ``harness.write_samples_csv`` writes
 the samples CSV a chunk and a column at a time; ``samples_csv_by_rows``
-formats it one row at a time. ``metrology.draw_measurements`` draws a chunk
-of rows at a time; ``draw_measurements_whole`` makes each draw as one
-whole-array call.
+formats it one row at a time. ``metrology.draw_batch`` draws a chunk of
+rows at a time; ``draw_measurements_whole`` makes each draw as one
+whole-array call, and ``true_eigenvalues`` gives the true values behind a
+seeded batch.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from clockobs.circuits import BasisState, Circuit
-from clockobs.clock import SpectralModel, cycle_eigenvalue
+from clockobs.clock import ClockedState, ForwardOperator, SpectralModel, cycle_eigenvalue
 from clockobs.errors import BudgetExceededError, MachineStepError
 from clockobs.metrology import AccuracyModel, SampleBatch, filter_round
 from clockobs.rtm import (
@@ -133,6 +137,15 @@ def random_machine(rng: random.Random) -> RtmSpec:
     )
 
 
+def apply_forward(op: ForwardOperator, state: ClockedState) -> ClockedState:
+    """One step of the forward operator F: apply the gate under the clock and
+    advance the excitation (s wraps to 1)."""
+    gate = op.circuit.gates[state.clock_pos - 1]
+    values = list(state.circuit_state.values)
+    gate.apply_values(values)
+    return ClockedState(BasisState(tuple(values)), state.clock_pos % op.s + 1)
+
+
 def orbit_length_by_steps(
     circuit: Circuit, initial: BasisState, max_steps: int | None = None
 ) -> int:
@@ -184,10 +197,17 @@ def samples_csv_by_rows(batch: SampleBatch) -> str:
     )
 
 
+def true_eigenvalues(d: int, n: int, seed) -> np.ndarray:
+    """The true eigenvalues behind ``metrology.draw_batch(acc, d, n, seed, ...)``:
+    the draw takes its n cycle positions first, whatever ``acc`` is."""
+    return cycle_eigenvalue(np.random.default_rng(seed).integers(d, size=n), d)
+
+
 def draw_measurements_whole(
     acc: AccuracyModel, d: int, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """``metrology.draw_measurements`` with every draw made over all n rows."""
+) -> np.ndarray:
+    """The n outcomes that ``metrology.draw_batch`` draws from ``rng``, with
+    every draw made over all n rows."""
     true = cycle_eigenvalue(rng.integers(d, size=n), d)
     failed = rng.random(n) >= acc.success_prob
     outcomes = true + rng.uniform(-acc.delta, acc.delta, n)
@@ -197,4 +217,4 @@ def draw_measurements_whole(
     else:
         sign = np.where(rng.random(np.count_nonzero(failed)) < 0.5, 1.0, -1.0)
         outcomes[failed] = np.clip(true[failed] + sign * 2.0 * acc.delta, lo, hi)
-    return outcomes, true
+    return outcomes

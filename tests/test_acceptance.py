@@ -20,7 +20,6 @@ from clockobs.circuits import (
 from clockobs.clock import (
     ClockedState,
     ForwardOperator,
-    apply_forward,
     compute_orbit,
     locality_report,
     spectral_model,
@@ -28,14 +27,17 @@ from clockobs.clock import (
 from clockobs.harness import ExperimentConfig, run_experiment
 from clockobs.metrology import (
     AccuracyModel,
-    PhaseEstimationSetup,
     decide,
     draw_batch,
-    draw_measurements,
     phase_estimate_distribution,
     sample_phase_estimate,
 )
-from oracle import dense_orbit_oracle, expanded_eigenvalues
+from oracle import (
+    apply_forward,
+    dense_orbit_oracle,
+    expanded_eigenvalues,
+    true_eigenvalues,
+)
 
 INSTANCES = [
     ("halt", "0", 0),
@@ -159,9 +161,9 @@ def test_criterion_5_spectral_gap(instances):
 def test_criterion_6_accuracy_window_contract():
     model = spectral_model(420)  # the halt("1") orbit dimension
     acc = AccuracyModel(delta=1e-3)
-    rng = np.random.default_rng(606)
     n = 100_000
-    outcome, true = draw_measurements(acc, model.dimension, n, rng)
+    outcome = draw_batch(acc, model.dimension, n, seed=606, r=1, s=1).values
+    true = true_eigenvalues(model.dimension, n, seed=606)
     hits = int(np.count_nonzero(np.abs(outcome - true) <= acc.delta + 1e-12))
     sigma = math.sqrt(0.75 * 0.25 / n)
     assert hits / n >= 0.75 - 3 * sigma
@@ -255,15 +257,14 @@ def test_criterion_7_decision_separation_decay_agreement(instances):
 def test_criterion_8_phase_estimation():
     # grid eigenphases give point masses
     for m, phi, j in ((2, 0.25, 1), (3, 0.0, 0), (4, 0.5, 8)):
-        table = phase_estimate_distribution(PhaseEstimationSetup(m=m, eigenphases=(phi,)))
+        table = phase_estimate_distribution(m, phi)
         assert table[j] == pytest.approx(1.0, abs=1e-12)
 
     # the off-grid phase 1/3: sampled distribution matches the closed form
     # and the closed form matches the explicit Fourier-matrix oracle
     for m in (4, 8):
         size = 2**m
-        setup = PhaseEstimationSetup(m=m, eigenphases=(1.0 / 3.0,))
-        table = phase_estimate_distribution(setup)
+        table = phase_estimate_distribution(m, 1.0 / 3.0)
         psi = np.exp(2j * np.pi / 3.0 * np.arange(size)) / math.sqrt(size)
         dft = np.exp(
             -2j * np.pi * np.outer(np.arange(size), np.arange(size)) / size
@@ -276,7 +277,7 @@ def test_criterion_8_phase_estimation():
 
         n = 10_000
         rng = np.random.default_rng(1000 + m)
-        counts = Counter(sample_phase_estimate(setup, rng, n).tolist())
+        counts = Counter(sample_phase_estimate(table, rng, n).tolist())
         for j, p in enumerate(table):
             sigma = math.sqrt(p * (1 - p) / n)
             assert abs(counts[j] / n - p) <= 3 * sigma + 3.0 / n, (m, j)

@@ -17,13 +17,12 @@ from clockobs.circuits import (
 from clockobs.clock import (
     ClockedState,
     ForwardOperator,
-    apply_forward,
     compute_orbit,
     locality_report,
     spectral_model,
 )
 from clockobs.errors import BudgetExceededError, DimensionError
-from oracle import dense_orbit_oracle, expanded_eigenvalues
+from oracle import apply_forward, dense_orbit_oracle, expanded_eigenvalues
 
 
 def identity_op(n_gates=1):
@@ -65,10 +64,11 @@ def test_s_forward_steps_equal_one_circuit_application():
     assert state.circuit_state == apply_circuit(circuit, start)
 
 
-def test_apply_forward_rejects_bad_clock():
-    op = identity_op(1)
-    with pytest.raises(DimensionError, match="one-hot"):
-        apply_forward(op, ClockedState(op.circuit.layout.zero_state(), 2))
+def test_compute_orbit_rejects_bad_clock():
+    op = identity_op(2)
+    for pos in (0, op.s + 1):
+        with pytest.raises(DimensionError, match="one-hot"):
+            compute_orbit(op, ClockedState(op.circuit.layout.zero_state(), pos))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from clockobs.harness import (
     run_experiment,
     write_samples_csv,
 )
-from clockobs.metrology import PhaseEstimationSetup, filter_round, sample_phase_estimate
+from clockobs.metrology import filter_round, phase_estimate_distribution, sample_phase_estimate
 from oracle import samples_csv_by_rows
 from test_pinned_behaviour import WRAPPER_DUMPS
 
@@ -506,9 +506,8 @@ def test_cli_phase_estimate_counts_come_from_one_draw(capsys):
     argv = ["phase-estimate", "--phi", "1/3", "--m", "6", "--samples", "500", "--seed", "2"]
     assert cli_dispatch(argv) == EXIT_OK
     out = json.loads(capsys.readouterr().out)
-    draws = sample_phase_estimate(
-        PhaseEstimationSetup(m=6, eigenphases=(1 / 3,)), np.random.default_rng(2), 500
-    )
+    table = phase_estimate_distribution(6, 1 / 3)
+    draws = sample_phase_estimate(table, np.random.default_rng(2), 500)
     assert out["sample_counts"] == np.bincount(draws, minlength=64).tolist()
     assert sum(out["sample_counts"]) == out["samples"] == 500
 
@@ -611,6 +610,9 @@ BAD_CONFIGS = {
         ["sample", FLIP, "--input", "0", "--samples", "0"],
         ["phase-estimate", "--phi", "1/3", "--m", "20"],
         ["phase-estimate", "--phi", "1/0", "--m", "3"],
+        ["phase-estimate", "--phi", "1e400", "--m", "3"],
+        ["phase-estimate", "--phi", "5/2", "--m", "3"],
+        ["phase-estimate", "--phi=-1/3", "--m", "3"],
         ["spectrum", "--d", "0"],
         ["phase-estimate", "--phi", "1/2", "--m", "3", "--samples", "-3"],
         ["sample", FLIP, "--input", "0", "--seed", "-1"],

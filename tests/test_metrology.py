@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracle import draw_measurements_whole
+from oracle import draw_measurements_whole, true_eigenvalues
 from scipy import stats
 
 from clockobs.clock import spectral_model
@@ -16,12 +16,11 @@ from clockobs.metrology import (
     MIN_FILTERED,
     PROBABILITY_GAP,
     AccuracyModel,
-    PhaseEstimationSetup,
     SampleBatch,
+    _fill_measurements,
     chernoff_confidence,
     decide,
     draw_batch,
-    draw_measurements,
     filter_round,
     phase_estimate_distribution,
     sample_phase_estimate,
@@ -34,9 +33,9 @@ from clockobs.metrology import (
 
 @pytest.mark.parametrize("d,seed,n", [(1, 0, 50), (4, 7, 100_000), (256, 11, 100_000)])
 def test_true_eigenvalues_follow_the_exact_weights(d, seed, n):
-    # the (1/d, 2/d) line weights, by a chi-square test on the true values
+    # the (1/d, 2/d) line weights, by a chi-square test on exact measurements
     model = spectral_model(d)
-    _, true = draw_measurements(AccuracyModel(delta=0.0), d, n, np.random.default_rng(seed))
+    true = draw_batch(AccuracyModel(delta=0.0, success_prob=1.0), d, n, seed, r=1, s=1).values
     weights = {round(line.eigenvalue, 9): float(line.probability) for line in model.lines}
     counts = Counter(np.round(true, 9).tolist())
     assert set(counts) <= set(weights)  # d = 1: every value is exactly 1.0
@@ -65,7 +64,8 @@ def test_accuracy_model_validation():
 def test_zero_delta_certain_success_reproduces_exact_sampler():
     model = spectral_model(8)
     acc = AccuracyModel(delta=0.0, success_prob=1.0)
-    out, true = draw_measurements(acc, model.dimension, 20, np.random.default_rng(3))
+    out = draw_batch(acc, model.dimension, 20, seed=3, r=1, s=1).values
+    true = true_eigenvalues(model.dimension, 20, seed=3)
     exact = {round(l.eigenvalue, 12) for l in model.lines}
     assert np.array_equal(out, true)
     assert all(round(v, 12) in exact for v in out.tolist())
@@ -78,9 +78,9 @@ def test_accuracy_window_contract(failure_mode, delta):
     # true eigenvalue with probability at least 3/4
     model = spectral_model(16)
     acc = AccuracyModel(delta=delta, failure_mode=failure_mode)
-    rng = np.random.default_rng(2024)
     n = 100_000
-    outcome, true = draw_measurements(acc, model.dimension, n, rng)
+    outcome = draw_batch(acc, model.dimension, n, seed=2024, r=1, s=1).values
+    true = true_eigenvalues(model.dimension, n, seed=2024)
     hits = np.count_nonzero(np.abs(outcome - true) <= delta + 1e-12)
     sigma = math.sqrt(0.75 * 0.25 / n)
     assert hits / n >= 0.75 - 3 * sigma
@@ -89,10 +89,9 @@ def test_accuracy_window_contract(failure_mode, delta):
 def test_outcomes_cluster_near_eigenvalues_d8():
     model = spectral_model(8)
     acc = AccuracyModel(delta=0.01)
-    rng = np.random.default_rng(5)
     n = 20_000
     eigs = np.array([l.eigenvalue for l in model.lines])
-    out, _ = draw_measurements(acc, model.dimension, n, rng)
+    out = draw_batch(acc, model.dimension, n, seed=5, r=1, s=1).values
     near = np.count_nonzero((np.abs(out[:, None] - eigs) <= 0.01 + 1e-12).any(axis=1))
     sigma = math.sqrt(0.75 * 0.25 / n)
     assert near / n >= 0.75 - 3 * sigma
@@ -101,8 +100,7 @@ def test_outcomes_cluster_near_eigenvalues_d8():
 def test_outcomes_bounded_by_extended_range():
     model = spectral_model(4)
     acc = AccuracyModel(delta=0.2)
-    rng = np.random.default_rng(9)
-    out, _ = draw_measurements(acc, model.dimension, 5000, rng)
+    out = draw_batch(acc, model.dimension, 5000, seed=9, r=1, s=1).values
     assert np.all((-1.2 - 1e-12 <= out) & (out <= 1.2 + 1e-12))
 
 
@@ -122,8 +120,9 @@ def test_chunked_draws_equal_one_whole_array_draw(d, mode):
     acc = AccuracyModel(delta=0.01, failure_mode=mode)
     n = 2 * CHUNK_ROWS + 7
     chunked, whole = np.random.default_rng(8), np.random.default_rng(8)
-    got, want = draw_measurements(acc, d, n, chunked), draw_measurements_whole(acc, d, n, whole)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    got = np.empty(n)
+    _fill_measurements(acc, d, chunked, got)
+    assert np.array_equal(got, draw_measurements_whole(acc, d, n, whole))
     assert chunked.random() == whole.random()  # the same draws were used up
 
 
@@ -386,15 +385,14 @@ def test_misclassification_decays_and_respects_hoeffding():
 
 
 def test_exact_grid_phase_is_a_point_mass():
-    setup = PhaseEstimationSetup(m=2, eigenphases=(0.25,))
-    table = phase_estimate_distribution(setup)
+    table = phase_estimate_distribution(2, 0.25)
     assert table[1] == pytest.approx(1.0, abs=1e-12)
     assert table.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_phase_reads_zero():
     for m in (1, 3, 6):
-        table = phase_estimate_distribution(PhaseEstimationSetup(m=m, eigenphases=(0.0,)))
+        table = phase_estimate_distribution(m, 0.0)
         assert table[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -408,73 +406,63 @@ def test_off_grid_phase_matches_matrix_oracle():
             -2j * np.pi * np.outer(np.arange(size), np.arange(size)) / size
         ) / math.sqrt(size)
         oracle = np.abs(dft @ psi) ** 2
-        table = phase_estimate_distribution(
-            PhaseEstimationSetup(m=m, eigenphases=(phi,))
-        )
+        table = phase_estimate_distribution(m, phi)
         assert np.allclose(table, oracle, atol=1e-12)
         assert table.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_nearest_grid_probability_value_and_floor():
     # frozen from the matrix oracle: phi = 1/3, m = 4 puts 0.6848954 on j = 5
-    table = phase_estimate_distribution(PhaseEstimationSetup(m=4, eigenphases=(1 / 3,)))
+    table = phase_estimate_distribution(4, 1 / 3)
     assert int(table.argmax()) == 5
     assert table[5] == pytest.approx(0.6848953893117379, abs=1e-12)
     assert table[5] >= 4.0 / math.pi**2  # nearest-grid floor
 
 
-def test_mixed_eigenphases_split_mass():
-    setup = PhaseEstimationSetup(m=1, eigenphases=(0.0, 0.5))
-    table = phase_estimate_distribution(setup)
-    assert table[0] == pytest.approx(0.5, abs=1e-12)
-    assert table[1] == pytest.approx(0.5, abs=1e-12)
-
-
-def test_amplitudes_must_be_normalized():
-    with pytest.raises(ValueError, match="normalized"):
-        PhaseEstimationSetup(m=2, eigenphases=(0.0, 0.5), amplitudes=(1.0, 1.0))
-
-
 def test_ancilla_cap_enforced():
     with pytest.raises(ValueError, match="cap"):
-        PhaseEstimationSetup(m=15, eigenphases=(0.0,))
+        phase_estimate_distribution(15, 0.0)
+    with pytest.raises(ValueError, match="cap"):
+        phase_estimate_distribution(0, 0.0)
+
+
+@pytest.mark.parametrize("phi", [-1 / 3, -1e-300, 1.0, 2.5, math.inf, math.nan])
+def test_eigenphase_outside_unit_interval_is_refused(phi):
+    with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+        phase_estimate_distribution(3, phi)
 
 
 def test_sampling_matches_exact_table():
-    m = 4
-    setup = PhaseEstimationSetup(m=m, eigenphases=(1 / 3,))
-    table = phase_estimate_distribution(setup)
+    table = phase_estimate_distribution(4, 1 / 3)
     rng = np.random.default_rng(77)
     n = 10_000
-    counts = Counter(sample_phase_estimate(setup, rng, n).tolist())
+    counts = Counter(sample_phase_estimate(table, rng, n).tolist())
     for j, p in enumerate(table):
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(counts[j] / n - p) <= 3 * sigma + 3.0 / n
 
 
 def test_sampling_point_mass_is_deterministic():
-    setup = PhaseEstimationSetup(m=2, eigenphases=(0.25,))
+    table = phase_estimate_distribution(2, 0.25)
     rng = np.random.default_rng(1)
-    assert all(sample_phase_estimate(setup, rng, 100) == 1)
+    assert all(sample_phase_estimate(table, rng, 100) == 1)
 
 
 def test_readouts_drawn_at_once_match_one_draw_per_readout():
-    setup = PhaseEstimationSetup(m=14, eigenphases=(1 / 3,))
-    probs = phase_estimate_distribution(setup)
-    probs = probs / probs.sum()
+    table = phase_estimate_distribution(14, 1 / 3)
+    probs = table / table.sum()
     rng = np.random.default_rng(2)
     one_at_a_time = [int(rng.choice(len(probs), p=probs)) for _ in range(2000)]
-    at_once = sample_phase_estimate(setup, np.random.default_rng(2), 2000).tolist()
+    at_once = sample_phase_estimate(table, np.random.default_rng(2), 2000).tolist()
     assert at_once == one_at_a_time
 
 
 def test_total_variation_shrinks_with_samples():
-    setup = PhaseEstimationSetup(m=3, eigenphases=(1 / 3,))
-    table = phase_estimate_distribution(setup)
+    table = phase_estimate_distribution(3, 1 / 3)
 
     def tv(n, seed):
         rng = np.random.default_rng(seed)
-        counts = Counter(sample_phase_estimate(setup, rng, n).tolist())
+        counts = Counter(sample_phase_estimate(table, rng, n).tolist())
         return 0.5 * sum(abs(counts[j] / n - p) for j, p in enumerate(table))
 
     assert tv(100_000, 5) < tv(1_000, 5)

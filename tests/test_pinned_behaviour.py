@@ -12,6 +12,10 @@ The ``sample``/``decide`` stdout and experiment digests were re-captured once
 when the sampler began drawing whole batches as arrays: one seed then yields
 a different random stream, and the report gained per-batch kept counts and
 odd fractions.
+
+The ``phase-estimate`` digests were captured from an implementation that
+summed the kernels of a tuple of eigenphases weighted by their amplitudes,
+so they show that computing the one eigenphase's kernel changed no byte.
 """
 
 import contextlib
@@ -65,6 +69,22 @@ def test_cli_stdout_digest(argv):
     with contextlib.redirect_stdout(out):
         assert cli_dispatch([command, str(corpus.path("flip")), *options]) == EXIT_OK
     assert sha256(out.getvalue()) == CLI_STDOUT[argv]
+
+
+PHASE_ESTIMATE_STDOUT = {
+    ("--phi", "1/3", "--m", "4"):
+        "81d4522d746cfa09eb48db7e3f7842967f2b877808288aaf8c753932c58a62be",
+    ("--phi", "1/3", "--m", "10", "--samples", "500", "--seed", "2"):
+        "d32d6e489ba45c2281fbf6e06f0aaa8e0faeaa6cc4e502991cc3068e8716d63a",
+}
+
+
+@pytest.mark.parametrize("options", list(PHASE_ESTIMATE_STDOUT), ids=["table", "samples"])
+def test_phase_estimate_stdout_digest(options):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_dispatch(["phase-estimate", *options]) == EXIT_OK
+    assert sha256(out.getvalue()) == PHASE_ESTIMATE_STDOUT[options]
 
 
 SPECTRUM_STDOUT = {
