@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import BudgetExceededError, DimensionError, PermutationError
 from .rtm import ACCEPT_SYMBOL, MachineConfig, RtmSpec, StateKind
@@ -784,25 +785,11 @@ def dump_circuit(circuit: Circuit) -> dict:
     return dump
 
 
-def _int_list(values: np.ndarray) -> str:
-    """``json.dumps(values.tolist(), separators=(",", ":"))`` for non-negative
-    ints: right-aligned digit rows with NULs for leading zeros, then deleted."""
-    width = len(str(values.max(initial=0)))
-    v = values.astype(np.int32 if width < 10 else np.int64)
-    rows = np.full((len(v), width + 1), ord(","), np.uint8)
-    for k in reversed(range(width)):
-        q = v // 10
-        digit = v - q * 10 + ord("0")
-        rows[:, k] = digit if k == width - 1 else digit * (v > 0)
-        v = q
-    return "[" + rows.tobytes().translate(None, b"\0")[:-1].decode("ascii") + "]"
-
-
 def _json_parts(obj):
     """The text of ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
-    in pieces, each array written by ``_int_list``."""
+    in pieces, each integer array written by orjson in one call."""
     if isinstance(obj, np.ndarray):
-        yield _int_list(obj)
+        yield orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY).decode()
     elif isinstance(obj, (dict, list)):
         keyed = isinstance(obj, dict)
         yield "{" if keyed else "["
@@ -815,8 +802,8 @@ def _json_parts(obj):
 
 
 def dump_circuit_json(circuit: Circuit) -> str:
-    """``dump_circuit`` as compact JSON with sorted keys, written from the
-    table arrays without a Python int per entry."""
+    """``dump_circuit`` as compact JSON with sorted keys, each table written
+    from its array by orjson, without a Python int per entry."""
     return "".join(_json_parts(_dump_dict(circuit)))
 
 

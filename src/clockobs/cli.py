@@ -130,6 +130,8 @@ def _cmd_decide(args) -> int:
 
 
 def _parse_phi(text: str) -> float:
+    if "/" not in text:  # Fraction would compute 10**exponent exactly; + 0.0 turns -0 into 0
+        return float(text) + 0.0
     try:
         return float(Fraction(text))
     except ZeroDivisionError:

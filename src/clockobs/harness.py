@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Any, TextIO
 
 import numpy as np
+import orjson
 
 from . import circuits, clock, metrology, rtm
 from .errors import BudgetExceededError, ClockObsError, StageError
@@ -177,12 +178,25 @@ def draw_samples(
         return metrology.SampleBatch(values, acc_model, r, s, batches=len(seeds))
 
 
+def _reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of each number in the 1-D array ``values``, encoded by orjson
+    in one call. orjson writes the same shortest digits only for finite
+    1e-4 <= |x| < 1e16 (1e-05, 1e+16, inf and nan become 0.00001, 1e16 and
+    null), so the numbers outside that range are written by ``repr``."""
+    text = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
+    items = text[1:-1].decode().split(",")
+    magnitude = np.abs(values)
+    for i in np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e16))).tolist():
+        items[i] = repr(values.item(i))
+    return items
+
+
 def write_samples_csv(batch: metrology.SampleBatch, fh: TextIO) -> None:
     """Write samples.csv to the text stream ``fh``, one row per sample: trial,
     raw value, kept flag, grid index, parity. Each chunk of rows is rounded,
     built a column at a time with one suffix per distinct grid index, and
-    written before the next, so the float ``repr`` the CSV bytes pin is most
-    of the cost and the text held is one chunk's."""
+    written before the next, so the text held is one chunk's. The numbers
+    are written by ``_reprs``, in the ``repr`` text the CSV bytes pin."""
     fh.write("trial,raw_value,filtered,j,parity\n")
     for a in range(0, batch.values.size, CSV_CHUNK_ROWS):
         values = batch.values[a:a + CSV_CHUNK_ROWS]
@@ -190,8 +204,8 @@ def write_samples_csv(batch: metrology.SampleBatch, fh: TextIO) -> None:
         grid, row = np.unique(np.where(kept, j, -1), return_inverse=True)
         suffix = [f",1,{k},{k % 2}\n" if k >= 0 else ",0,,\n" for k in grid.tolist()]
         parts = [","] * (4 * values.size)  # trial, ",", raw value, suffix
-        parts[0::4] = map(str, range(a, a + values.size))
-        parts[2::4] = map(repr, values.tolist())
+        parts[0::4] = _reprs(np.arange(a, a + values.size))
+        parts[2::4] = _reprs(values)
         parts[3::4] = np.array(suffix, object)[row].tolist()
         fh.write("".join(parts))
 

@@ -2,6 +2,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import subprocess
 import sys
 import time
@@ -194,6 +195,38 @@ def test_samples_csv_matches_the_row_formatter_on_clipped_outcomes():
     batch = _flip_batch(3000, 0.25, failure_mode="adversarial_offset")
     assert np.isin([-1.25, 1.25], batch.values).all()
     assert_csv_matches_rows(batch)
+
+
+# orjson writes repr's digits only for finite 1e-4 <= |x| < 1e16; each side of
+# both bounds, signed zeros, huge and non-finite values and the ends of [-1, 1]
+EDGE_VALUES = [
+    1e-5, -3.2e-7, 0.0, -0.0, 1e-4, -9.999999999999999e-05, 9.999999999999998e15, 1e16,
+    -1e16, 1e300, 5e-324, math.inf, -math.inf, math.nan, 1.0, -1.0, np.nextafter(1.0, 2.0),
+    np.nextafter(-1.0, -2.0), np.nextafter(1.0, 0.0), -0.7071067811865476, 0.1, 123456.789,
+]
+
+
+def test_samples_csv_matches_the_row_formatter_on_edge_values():
+    batch = metrology.SampleBatch(np.array(EDGE_VALUES), metrology.AccuracyModel(0.01), 45, 10)
+    with np.errstate(invalid="ignore"):  # nan's grid index is cast, then unused
+        text = assert_csv_matches_rows(batch)
+    assert [row.split(",")[1] for row in text.splitlines()[1:6]] == [
+        "1e-05", "-3.2e-07", "0.0", "-0.0", "0.0001"
+    ]
+
+
+def test_samples_csv_matches_the_row_formatter_on_a_strided_read_only_view():
+    base = np.linspace(-1.5, 1.5, 2 * CSV_CHUNK_ROWS + 2 * len(EDGE_VALUES) + 9)
+    # every other value, with the edge values in the first and the last chunk
+    base[1:2 * len(EDGE_VALUES):2] = EDGE_VALUES
+    base[-2 * len(EDGE_VALUES):] = np.repeat(EDGE_VALUES, 2)
+    view = base[1::2]
+    view.flags.writeable = False
+    batch = metrology.SampleBatch(view, metrology.AccuracyModel(0.01), 45, 10)
+    assert batch.values is view and not view.flags.c_contiguous
+    assert view.size > CSV_CHUNK_ROWS
+    with np.errstate(invalid="ignore"):
+        assert_csv_matches_rows(batch)
 
 
 def test_samples_csv_matches_the_row_formatter_on_a_wide_grid_and_pooled_batches():
@@ -502,6 +535,26 @@ def test_cli_phase_estimate(capsys):
     assert out["distribution"][1] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "phi, code, message",
+    [
+        ("1e10000000", EXIT_VALIDATION, "[error] eigenphase inf outside [0, 1)\n"),
+        ("1e-10000000", EXIT_OK, ""),
+        ("-0", EXIT_OK, ""),
+    ],
+)
+def test_cli_decimal_phase_is_read_as_a_float(phi, code, message, capsys):
+    # a huge exponent must not be expanded exactly, and -0 must print phi 0.0
+    started = time.perf_counter()
+    assert cli_dispatch(["phase-estimate", "--phi", phi, "--m", "3"]) == code
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.err == message
+    if code == EXIT_OK:
+        out = json.loads(captured.out)
+        assert (out["phi"], math.copysign(1.0, out["phi"]), out["argmax"]) == (0.0, 1.0, 0)
+
+
 def test_cli_phase_estimate_counts_come_from_one_draw(capsys):
     argv = ["phase-estimate", "--phi", "1/3", "--m", "6", "--samples", "500", "--seed", "2"]
     assert cli_dispatch(argv) == EXIT_OK
@@ -611,6 +664,7 @@ BAD_CONFIGS = {
         ["phase-estimate", "--phi", "1/3", "--m", "20"],
         ["phase-estimate", "--phi", "1/0", "--m", "3"],
         ["phase-estimate", "--phi", "1e400", "--m", "3"],
+        ["phase-estimate", "--phi", "nan", "--m", "3"],
         ["phase-estimate", "--phi", "5/2", "--m", "3"],
         ["phase-estimate", "--phi=-1/3", "--m", "3"],
         ["spectrum", "--d", "0"],
