@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -727,6 +726,7 @@ def circuit_orbit_length(
 # serialization
 
 DUMP_FORMAT = "clockobs-circuit/1"
+_DUMP_JSON_OPTION = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
 
 
 def _dump_dict(circuit: Circuit) -> dict:
@@ -785,26 +785,10 @@ def dump_circuit(circuit: Circuit) -> dict:
     return dump
 
 
-def _json_parts(obj):
-    """The text of ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
-    in pieces, each integer array written by orjson in one call."""
-    if isinstance(obj, np.ndarray):
-        yield orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-    elif isinstance(obj, (dict, list)):
-        keyed = isinstance(obj, dict)
-        yield "{" if keyed else "["
-        for i, (key, value) in enumerate(sorted(obj.items()) if keyed else enumerate(obj)):
-            yield "," * (i > 0) + (f"{json.dumps(key)}:" if keyed else "")
-            yield from _json_parts(value)
-        yield "}" if keyed else "]"
-    else:
-        yield json.dumps(obj)
-
-
 def dump_circuit_json(circuit: Circuit) -> str:
-    """``dump_circuit`` as compact JSON with sorted keys, each table written
-    from its array by orjson, without a Python int per entry."""
-    return "".join(_json_parts(_dump_dict(circuit)))
+    """``dump_circuit`` as compact JSON with sorted keys, written by orjson in
+    one call, each table from its array without a Python int per entry."""
+    return orjson.dumps(_dump_dict(circuit), option=_DUMP_JSON_OPTION).decode()
 
 
 def replay_dump(dump: dict, values: Sequence[int]) -> tuple[int, ...]:

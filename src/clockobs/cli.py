@@ -2,7 +2,8 @@
 
 Subcommands: validate, compile, orbit, spectrum, sample, decide,
 phase-estimate, experiment. compile, orbit, sample and decide run the same
-stages as ``harness.run_experiment`` (compile, orbit, accuracy, sample). Exit
+stages as ``harness.run_experiment`` (parse, validate, compile, orbit,
+accuracy, sample), so they refuse an irreversible machine as it does. Exit
 codes: 0 success, 2 validation failure, 3 budget exhaustion, 4 I/O failure.
 """
 
@@ -51,8 +52,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    spec = rtm.parse_rtm_file(args.spec)
-    circuit = harness.compile_circuit(spec, not args.no_merge_cells)
+    circuit = harness.compile_circuit(harness.load_machine(args.spec), not args.no_merge_cells)
     with _output(args.out) as fh:  # two writes: no copy of a dump of tens of MB
         fh.write(circuits.dump_circuit_json(circuit))
         fh.write("\n")
@@ -60,7 +60,7 @@ def _cmd_compile(args) -> int:
 
 
 def _clocked(args) -> tuple[rtm.RtmSpec, harness.ClockedCircuit]:
-    spec = rtm.parse_rtm_file(args.spec)
+    spec = harness.load_machine(args.spec)
     circuit = harness.compile_circuit(spec, not args.no_merge_cells)
     return spec, harness.clock_orbit(circuit, args.input)
 

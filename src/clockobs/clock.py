@@ -143,15 +143,10 @@ def spectral_model(d: int) -> SpectralModel:
 class LocalityReport:
     term_supports: tuple[int, ...]  # per gate: wires touched + 2 clock wires
     max_support: int
-    term_count: int
 
 
 def locality_report(op: ForwardOperator) -> LocalityReport:
     """Each forward term couples one gate to two clock wires, so its support
     is the gate's wire count plus 2."""
     supports = tuple(len(g.support) + 2 for g in op.circuit.gates)
-    return LocalityReport(
-        term_supports=supports,
-        max_support=max(supports),
-        term_count=len(supports),
-    )
+    return LocalityReport(term_supports=supports, max_support=max(supports))

@@ -7,13 +7,13 @@ observable's orbit, samples accuracy-limited outcomes and decides the
 machine's answer. Validate refuses a machine over ``rtm.MAX_CONFIG_BITS``
 and compile one over ``circuits.MAX_GATE_ENTRIES``; the ground-truth step
 budget is set by the compiled circuit's register size, so no machine is run
-that could not be compiled. The compile, orbit, accuracy, sampling and CSV
-stages are shared with the command line, so ``clockobs compile``/``orbit``/
-``sample``/``decide`` run the same code. Every stage failure but a budget
-one is re-raised tagged with the stage name; a ``BudgetExceededError``
-passes through as it is. Reports are reproducible: the same config and seed
-give byte-identical report files (wall-clock timing is kept out of the
-serialized report for that reason).
+that could not be compiled. The parse, validate, compile, orbit, accuracy,
+sampling and CSV stages are shared with the command line, so ``clockobs
+compile``/``orbit``/``sample``/``decide`` run the same code and refuse the
+same machines. Every stage failure but a budget one is re-raised tagged with
+the stage name; a ``BudgetExceededError`` passes through as it is. Reports
+are reproducible: the same config and seed give byte-identical report files
+(wall-clock timing is kept out of the serialized report for that reason).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Any, TextIO
 import numpy as np
 import orjson
 
-from . import circuits, clock, metrology, rtm
+from . import __version__, circuits, clock, metrology, rtm
 from .errors import BudgetExceededError, ClockObsError, StageError
 
 AUTO_ACCURACY = "auto"
@@ -95,17 +95,11 @@ class ExperimentReport:
     def to_json_dict(self) -> dict[str, Any]:
         out = asdict(self)
         del out["timing_seconds"]
-        out["tool_version"] = _version()
+        out["tool_version"] = __version__
         return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-
-def _version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 @contextmanager
@@ -142,6 +136,22 @@ class ClockedCircuit:
     r_nominal: int
     locality: clock.LocalityReport
     orbit: clock.Orbit
+
+
+def load_machine(path) -> rtm.RtmSpec:
+    """Stages parse and validate: read the spec at ``path`` and refuse a
+    machine whose rules are not reversible."""
+    with _stage("parse"):
+        spec = rtm.parse_rtm_file(path)
+    with _stage("validate"):
+        report = rtm.check_reversibility(spec)
+        if not report.is_reversible:
+            first = report.violations[0].message
+            raise ClockObsError(
+                f"machine is not reversible ({len(report.violations)} violations; "
+                f"first: {first})"
+            )
+    return spec
 
 
 def compile_circuit(spec: rtm.RtmSpec, merge_cells: bool) -> circuits.Circuit:
@@ -212,19 +222,7 @@ def write_samples_csv(batch: metrology.SampleBatch, fh: TextIO) -> None:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     started = time.perf_counter()
-
-    with _stage("parse"):
-        spec = rtm.parse_rtm_file(config.spec_path)
-
-    with _stage("validate"):
-        report = rtm.check_reversibility(spec)
-        if not report.is_reversible:
-            first = report.violations[0].message
-            raise ClockObsError(
-                f"machine is not reversible ({len(report.violations)} violations; "
-                f"first: {first})"
-            )
-
+    spec = load_machine(config.spec_path)
     circuit = compile_circuit(spec, config.merge_cells)
 
     with _stage("ground-truth"):

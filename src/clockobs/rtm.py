@@ -266,20 +266,15 @@ def parse_rtm_spec(text: str, name: str = "<string>") -> RtmSpec:
     if tape_cells is None:
         raise SpecParseError("missing 'tape_cells:' line")
 
-    try:
-        return RtmSpec(
-            name=name,
-            states=states,
-            alphabet=tuple(alphabet),
-            transitions=tuple(transitions),
-            initial_state=initial,
-            tape_cells=tape_cells,
-            result_cell=result_cell,
-        )
-    except SpecParseError:
-        raise
-    except Exception as exc:  # defensive: surface constructor issues as parse errors
-        raise SpecParseError(str(exc)) from exc
+    return RtmSpec(
+        name=name,
+        states=states,
+        alphabet=tuple(alphabet),
+        transitions=tuple(transitions),
+        initial_state=initial,
+        tape_cells=tape_cells,
+        result_cell=result_cell,
+    )
 
 
 def _parse_transition(rest: str, lineno: int) -> Transition:

@@ -9,6 +9,7 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from oracle import all_configs, orbit_length_by_steps, random_machine
 
@@ -808,7 +809,19 @@ def test_dump_json_is_json_dumps_of_the_dump_for_generated_machines():
 def test_dump_array_encoding_writes_what_json_dumps_writes(values, dtype):
     array = np.array(values, dtype=dtype)
     want = json.dumps(array.tolist(), separators=(",", ":"))
-    assert "".join(circuits._json_parts(array)) == want
+    assert orjson.dumps(array, option=circuits._DUMP_JSON_OPTION).decode() == want
+
+
+def test_dump_of_non_ascii_names_parses_to_the_dump():
+    # orjson writes non-ASCII text as UTF-8, where json.dumps writes \uXXXX:
+    # the text differs, the JSON value does not
+    circuit = build_wrapper_circuit(parse_rtm_spec(
+        "states: début:rw fin:final\nalphabet: ∅ ñ\ninitial: début\ntape_cells: 1\n"
+        "transition: rw (début,∅) -> (fin,ñ)\ntransition: rw (début,ñ) -> (fin,∅)\n"
+    ))
+    text = dump_circuit_json(circuit)
+    assert "début" in text and "ñ" in text
+    assert json.loads(text) == dump_circuit(circuit)
 
 
 def _table_by_apply_values(gate: PermGate, indices) -> list[int]:

@@ -460,9 +460,52 @@ def test_cli_validate_parse_error(tmp_path, capsys):
     assert "[parse]" in capsys.readouterr().err
 
 
+# the commands that run the pipeline, each reading its machine from SPEC
+PIPELINE_COMMANDS = [
+    ["compile", "SPEC"],
+    ["orbit", "SPEC", "--input", "1"],
+    ["sample", "SPEC", "--input", "1"],
+    ["decide", "SPEC", "--input", "1"],
+    ["experiment", "--spec", "SPEC", "--input", "1"],
+]
+
+
+def _run_on(argv, spec) -> int:
+    return cli_dispatch([str(spec) if a == "SPEC" else a for a in argv])
+
+
 def test_cli_missing_file_is_io_error(capsys):
-    code = cli_dispatch(["validate", "/nonexistent/machine.rtm"])
-    assert code == EXIT_IO
+    missing = "/nonexistent/machine.rtm"
+    assert cli_dispatch(["validate", missing]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("[io] ")
+    for argv in PIPELINE_COMMANDS:
+        assert _run_on(argv, missing) == EXIT_IO, argv
+        err = capsys.readouterr().err
+        assert err.startswith("[parse] [Errno 2] ") and len(err.splitlines()) == 1, (argv, err)
+
+
+IRREVERSIBLE = {  # a has no rule for 1; a sends both symbols to (h, 1)
+    "nontotal": "transition: rw (a,0) -> (h,1)\n",
+    "colliding": "transition: rw (a,0) -> (h,1)\ntransition: rw (a,1) -> (h,1)\n",
+}
+
+
+@pytest.mark.parametrize("name", list(IRREVERSIBLE))
+def test_irreversible_machine_fails_validation_in_every_command(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.rtm"
+    path.write_text(
+        "states: a:rw h:final\nalphabet: 0 1\ninitial: a\ntape_cells: 1\n" + IRREVERSIBLE[name],
+        encoding="utf-8",
+    )
+    errors = set()
+    for argv in PIPELINE_COMMANDS:
+        assert _run_on(argv, path) == EXIT_VALIDATION, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert len(captured.err.splitlines()) == 1, (argv, captured.err)
+        errors.add(captured.err)
+    [err] = errors
+    assert err.startswith("[validate] machine is not reversible (")
 
 
 def test_cli_spectrum_csv(capsys):
