@@ -173,14 +173,14 @@ class PermGate:
     as the points it moves in a table over the fields it reads.
 
     A field is a ``(wire, stride, dim)`` triple naming the digit
-    ``values[wire] // stride % dim``. ``field_table[i] = j`` maps the field
-    digits packed as i (mixed radix over ``fields`` in order) to those packed
-    as j; every other digit of the support wires rides along unchanged.
-    Without ``fields`` each support wire is one whole field, so ``table`` is
-    the wire-level table given. The table must be a bijection. Only its moved
+    ``values[wire] // stride % dim``. The ``table`` given, ``table[i] = j``,
+    maps the field digits packed as i (mixed radix over ``fields`` in order)
+    to those packed as j; every other digit of the support wires rides along
+    unchanged. Without ``fields`` each support wire is one whole field, so it
+    is the wire-level table. It must be a bijection. Only its moved
     points are kept: ``moved``, the sorted i with ``table[i] != i``, and
     ``image``, their images, both read-only in the smallest unsigned dtype
-    that holds the table; ``field_table`` is rebuilt from them on access.
+    that holds the table.
     """
 
     __slots__ = ("support", "dims", "fields", "moved", "image", "label")
@@ -212,33 +212,24 @@ class PermGate:
         object.__setattr__(self, name, value)
 
     @property
-    def field_table(self) -> np.ndarray:
-        """The whole table over ``fields``, rebuilt on each access and read-only."""
-        table = np.arange(math.prod(d for _, _, d in self.fields), dtype=self.moved.dtype)
-        table[self.moved] = self.image
-        table.flags.writeable = False
-        return table
-
-    @property
     def table(self) -> np.ndarray:
         """The wire-level table: ``table[i] = j`` maps packed input index i to
         packed output index j, mixed-radix over ``dims``. Computed on each
-        access and read-only."""
-        # each field digit depends on one wire, so the field index and the wire
-        # values with field digits cleared are sums of per-wire vectors
-        values = [np.arange(d) for d in self.dims]
+        access from the moved points, int64 and read-only."""
+        # a moved field point shifts every wire-level index that reads it by
+        # the same amount, and each field digit depends on one wire, so the
+        # field index is a sum of per-wire vectors
         place = [math.prod(self.dims[p + 1:]) for p in range(len(self.dims))]
-        index, rest = [0 * v for v in values], [v * step for v, step in zip(values, place)]
-        field_table = self.field_table
-        radix, back = len(field_table), 0  # back: field index -> its digits
+        index = [np.zeros(d, np.int64) for d in self.dims]
+        moved, image = self.moved.astype(np.int64), self.image.astype(np.int64)
+        radix, step = math.prod(d for _, _, d in self.fields), 0
+        shift = np.zeros(radix, np.int64)
         for w, stride, dim in self.fields:
             p, radix = self.support.index(w), radix // dim
-            digit = values[p] // stride % dim
-            index[p] += digit * radix
-            rest[p] -= digit * stride * place[p]
-            back += np.arange(len(field_table)) // radix % dim * stride * place[p]
-        table = sum(np.ix_(*rest)).ravel()
-        table += back[field_table][sum(np.ix_(*index))].ravel()
+            index[p] += np.arange(self.dims[p]) // stride % dim * radix
+            step += (image // radix % dim - moved // radix % dim) * stride * place[p]
+        shift[moved] = step
+        table = np.arange(math.prod(self.dims)) + shift[sum(np.ix_(*index)).ravel()]
         table.flags.writeable = False
         return table
 
@@ -691,12 +682,15 @@ def _walk_source(dims: tuple[int, ...], gates: tuple) -> str:
     return "\n".join(lines) + "\n"
 
 
-# generating the source and compile() take longer than a whole walk on a
-# small machine, and both depend only on the circuit's shape, so repeat walks
-# of one shape reuse the code
+# generating the source and exec() take longer than a whole walk on a small
+# machine, and both depend only on the circuit's shape, so repeat walks of one
+# shape reuse the function. Popped from its namespace and given the tables as
+# arguments, it is in no reference cycle, so an evicted walk is freed at once.
 @functools.lru_cache(maxsize=16)
-def _compile_walk(shape: tuple):
-    return compile(_walk_source(*shape), "<circuit walk>", "exec")
+def _walk(shape: tuple) -> Callable:
+    namespace: dict = {}
+    exec(compile(_walk_source(*shape), "<circuit walk>", "exec"), namespace)
+    return namespace.pop("walk")
 
 
 def circuit_orbit_length(
@@ -708,13 +702,8 @@ def circuit_orbit_length(
     if max_steps is None:
         max_steps = 16 * circuit.layout.counter_size + 16
     start = tuple(_checked_values(circuit.layout, initial))
-    # a fresh namespace per call, with the tables passed as arguments: held
-    # in ``walk.__globals__`` they would form a cycle only the full GC frees
-    namespace: dict = {}
-    exec(_compile_walk(_walk_shape(circuit)), namespace)
-    walk = namespace.pop("walk")
     tables = [dict(zip(g.moved.tolist(), g.image.tolist())) for g in circuit.gates]
-    steps = walk(max_steps, start, *tables)
+    steps = _walk(_walk_shape(circuit))(max_steps, start, *tables)
     if steps is None:
         raise BudgetExceededError(
             f"no recurrence within {max_steps} applications of the circuit"

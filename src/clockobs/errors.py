@@ -18,8 +18,6 @@ class SpecParseError(ClockObsError):
                 loc += f", column {column}"
             loc = f" ({loc})"
         super().__init__(message + loc)
-        self.line = line
-        self.column = column
 
 
 class MachineStepError(ClockObsError):

@@ -10,17 +10,17 @@ budget is set by the compiled circuit's register size, so no machine is run
 that could not be compiled. The parse, validate, compile, orbit, accuracy,
 sampling and CSV stages are shared with the command line, so ``clockobs
 compile``/``orbit``/``sample``/``decide`` run the same code and refuse the
-same machines. Every stage failure but a budget one is re-raised tagged with
-the stage name; a ``BudgetExceededError`` passes through as it is. Reports
-are reproducible: the same config and seed give byte-identical report files
-(wall-clock timing is kept out of the serialized report for that reason).
+same machines, and ``clockobs validate`` reads its spec in the same parse
+stage. Every stage failure but a budget one is re-raised tagged with the
+stage name; a ``BudgetExceededError`` passes through as it is. Reports are
+reproducible: the same config and seed give byte-identical report files, so
+a report holds no wall-clock time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -33,7 +33,6 @@ from . import __version__, circuits, clock, metrology, rtm
 from .errors import BudgetExceededError, ClockObsError, StageError
 
 AUTO_ACCURACY = "auto"
-CSV_CHUNK_ROWS = metrology.CHUNK_ROWS  # rows of samples.csv built per write
 MAX_BATCHES = 10_000  # each batch has its own generator and report entries
 
 
@@ -90,13 +89,9 @@ class ExperimentReport:
     accuracy_coarser_than_grid: bool
     seed: int
     config: dict[str, Any]
-    timing_seconds: float  # excluded from the serialized report
 
     def to_json_dict(self) -> dict[str, Any]:
-        out = asdict(self)
-        del out["timing_seconds"]
-        out["tool_version"] = __version__
-        return out
+        return {**asdict(self), "tool_version": __version__}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
@@ -138,11 +133,16 @@ class ClockedCircuit:
     orbit: clock.Orbit
 
 
+def parse_machine(path) -> rtm.RtmSpec:
+    """Stage parse: read the spec at ``path``."""
+    with _stage("parse"):
+        return rtm.parse_rtm_file(path)
+
+
 def load_machine(path) -> rtm.RtmSpec:
     """Stages parse and validate: read the spec at ``path`` and refuse a
     machine whose rules are not reversible."""
-    with _stage("parse"):
-        spec = rtm.parse_rtm_file(path)
+    spec = parse_machine(path)
     with _stage("validate"):
         report = rtm.check_reversibility(spec)
         if not report.is_reversible:
@@ -208,8 +208,8 @@ def write_samples_csv(batch: metrology.SampleBatch, fh: TextIO) -> None:
     written before the next, so the text held is one chunk's. The numbers
     are written by ``_reprs``, in the ``repr`` text the CSV bytes pin."""
     fh.write("trial,raw_value,filtered,j,parity\n")
-    for a in range(0, batch.values.size, CSV_CHUNK_ROWS):
-        values = batch.values[a:a + CSV_CHUNK_ROWS]
+    for a in range(0, batch.values.size, metrology.CHUNK_ROWS):
+        values = batch.values[a:a + metrology.CHUNK_ROWS]
         kept, j = metrology.filter_round(values, batch.r, batch.s)
         grid, row = np.unique(np.where(kept, j, -1), return_inverse=True)
         suffix = [f",1,{k},{k % 2}\n" if k >= 0 else ",0,,\n" for k in grid.tolist()]
@@ -221,7 +221,6 @@ def write_samples_csv(batch: metrology.SampleBatch, fh: TextIO) -> None:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    started = time.perf_counter()
     spec = load_machine(config.spec_path)
     circuit = compile_circuit(spec, config.merge_cells)
 
@@ -245,7 +244,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     with _stage("decide"):
         decision = metrology.decide(pooled)
 
-    elapsed = time.perf_counter() - started
     report = ExperimentReport(
         machine={
             "name": spec.name,
@@ -271,7 +269,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             **{k: v for k, v in asdict(config).items() if k != "out_dir"},
             "spec_path": str(config.spec_path),
         },
-        timing_seconds=elapsed,
     )
 
     if config.out_dir is not None:

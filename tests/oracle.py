@@ -10,6 +10,8 @@ the sweep here decides it by stepping every configuration with
 passes as generated code; ``apply_forward`` takes one forward step of the
 clocked circuit, and ``orbit_length_by_steps`` walks passes one
 ``PermGate.apply_values`` at a time.
+``PermGate`` keeps only the points its table moves; ``field_table``
+rebuilds the whole table over its fields from them.
 ``clock.spectral_model`` gives the d-cycle's spectrum in closed form;
 ``dense_orbit_oracle`` recomputes it numerically from the d x d matrix, as
 the independent check of that formula. ``harness.write_samples_csv`` writes
@@ -22,13 +24,14 @@ seeded batch.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import product
 from typing import Iterable
 
 import numpy as np
 
-from clockobs.circuits import BasisState, Circuit
+from clockobs.circuits import BasisState, Circuit, PermGate
 from clockobs.clock import ClockedState, ForwardOperator, SpectralModel, cycle_eigenvalue
 from clockobs.errors import BudgetExceededError, MachineStepError
 from clockobs.metrology import AccuracyModel, SampleBatch, filter_round
@@ -135,6 +138,14 @@ def random_machine(rng: random.Random) -> RtmSpec:
         initial_state=names[0],
         tape_cells=rng.randint(1, 4),
     )
+
+
+def field_table(gate: PermGate) -> np.ndarray:
+    """The gate's whole table over its fields, in the dtype of ``gate.moved``:
+    the identity with each moved point sent to its image."""
+    table = np.arange(math.prod(d for _, _, d in gate.fields), dtype=gate.moved.dtype)
+    table[gate.moved] = gate.image
+    return table
 
 
 def apply_forward(op: ForwardOperator, state: ClockedState) -> ClockedState:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 import pytest
-from oracle import all_configs, orbit_length_by_steps, random_machine
+from oracle import all_configs, field_table, orbit_length_by_steps, random_machine
 
 from clockobs import circuits, corpus, rtm
 from clockobs.circuits import (
@@ -125,9 +125,9 @@ def test_lifted_gate_tables_are_read_only():
     with pytest.raises(ValueError):
         gate.table[0] = 1
     with pytest.raises(ValueError):
-        gate.field_table[0] = 1
+        gate.moved[0] = 1
     with pytest.raises(AttributeError):
-        gate.field_table = np.arange(len(gate.field_table))
+        gate.moved = np.arange(len(gate.moved))
 
 
 def test_lift_gate_passes_fn_only_the_registers_it_names():
@@ -210,17 +210,17 @@ def test_generated_machine_gate_tables_are_pinned():
                 continue
             for g in circuit.gates:
                 digest.update(repr((g.label, g.fields)).encode())
-                digest.update(g.field_table.astype(np.int64).tobytes())
+                digest.update(field_table(g).astype(np.int64).tobytes())
     assert digest.hexdigest() == GENERATED_GATE_TABLES_SHA256
 
 
 def test_merged_flipwalk_stores_a_small_fraction_of_its_wire_tables():
     circuit = build_wrapper_circuit(corpus.load("flipwalk"))
     wire_entries = sum(len(g.table) for g in circuit.gates)
-    stored = sum(len(g.field_table) for g in circuit.gates)
+    stored = sum(len(field_table(g)) for g in circuit.gates)
     assert wire_entries == 578_560
     assert stored <= 0.05 * wire_entries
-    assert all(g.field_table.dtype.kind == "u" for g in circuit.gates)
+    assert all(field_table(g).dtype.kind == "u" for g in circuit.gates)
     # each gate keeps only the points its table moves, read-only
     for spec, moved in ((corpus.load("flipwalk"), 1_594), (_bench_flip3(), 6_244)):
         for merged in (True, False):
@@ -662,22 +662,33 @@ def test_orbit_walk_matches_stepping_oracle_from_every_clock_position(monkeypatc
         circuit = build_wrapper_circuit(corpus.load(name), merge_cells=merged)
         op, gates = ForwardOperator(circuit), circuit.gates
         start = circuit.layout.initial_basis_state(word)
-        misses, generated[:] = circuits._compile_walk.cache_info().misses, []
+        misses, generated[:] = circuits._walk.cache_info().misses, []
         for c in range(circuit.s):
             rotated = Circuit(circuit.layout, gates[c:] + gates[:c])
             d = compute_orbit(op, ClockedState(start, c + 1)).dimension
             assert d == circuit.s * orbit_length_by_steps(rotated, start), (name, c)
-        new_misses = circuits._compile_walk.cache_info().misses - misses
+        new_misses = circuits._walk.cache_info().misses - misses
         assert len(generated) == new_misses <= 1, name
 
 
 def test_orbit_walk_leaves_no_reference_cycles():
-    _, circuit = flip_wrapper()
-    start = circuit.layout.initial_basis_state("0")
+    # more shapes than the walk cache holds, so walks it evicts are freed too
+    _, flip = flip_wrapper()
+    walks, shapes, rng = [(flip, flip.layout.initial_basis_state("0"))], set(), random.Random(5)
+    while len(shapes) < 20:
+        try:
+            circuit = build_wrapper_circuit(random_machine(rng))
+        except ClockObsError:
+            continue
+        shape = circuits._walk_shape(circuit)
+        if circuit.layout.m <= 6 and shape not in shapes:
+            shapes.add(shape)
+            walks.append((circuit, circuit.layout.zero_state()))
     gc.disable()
     try:
         gc.collect()
-        circuit_orbit_length(circuit, start)
+        for circuit, start in walks:
+            circuit_orbit_length(circuit, start)
         assert gc.collect() == 0
     finally:
         gc.enable()

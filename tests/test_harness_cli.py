@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -25,7 +26,6 @@ from clockobs.cli import (
 )
 from clockobs.errors import BudgetExceededError, StageError
 from clockobs.harness import (
-    CSV_CHUNK_ROWS,
     MAX_BATCHES,
     ExperimentConfig,
     batch_seed,
@@ -35,7 +35,12 @@ from clockobs.harness import (
     run_experiment,
     write_samples_csv,
 )
-from clockobs.metrology import filter_round, phase_estimate_distribution, sample_phase_estimate
+from clockobs.metrology import (
+    CHUNK_ROWS,
+    filter_round,
+    phase_estimate_distribution,
+    sample_phase_estimate,
+)
 from oracle import samples_csv_by_rows
 from test_pinned_behaviour import WRAPPER_DUMPS
 
@@ -176,7 +181,7 @@ def assert_csv_matches_rows(batch: metrology.SampleBatch) -> str:
 
 
 @pytest.mark.parametrize(
-    "n", [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 7]
+    "n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 7]
 )
 def test_samples_csv_matches_the_row_formatter_across_chunks(n):
     assert assert_csv_matches_rows(_flip_batch(n)).count("\n") == n + 1
@@ -184,7 +189,7 @@ def test_samples_csv_matches_the_row_formatter_across_chunks(n):
 
 @pytest.mark.parametrize("value,kept", [(0.9, 0), (-0.1, 1)])
 def test_samples_csv_matches_the_row_formatter_when_all_or_none_are_kept(value, kept):
-    n = CSV_CHUNK_ROWS + 3
+    n = CHUNK_ROWS + 3
     batch = metrology.SampleBatch(np.full(n, value), metrology.AccuracyModel(0.01), 45, 10)
     text = assert_csv_matches_rows(batch)
     assert [row.split(",")[2] for row in text.splitlines()[1:]] == [str(kept)] * n
@@ -216,7 +221,7 @@ def test_samples_csv_matches_the_row_formatter_on_edge_values():
 
 
 def test_samples_csv_matches_the_row_formatter_on_a_strided_read_only_view():
-    base = np.linspace(-1.5, 1.5, 2 * CSV_CHUNK_ROWS + 2 * len(EDGE_VALUES) + 9)
+    base = np.linspace(-1.5, 1.5, 2 * CHUNK_ROWS + 2 * len(EDGE_VALUES) + 9)
     # every other value, with the edge values in the first and the last chunk
     base[1:2 * len(EDGE_VALUES):2] = EDGE_VALUES
     base[-2 * len(EDGE_VALUES):] = np.repeat(EDGE_VALUES, 2)
@@ -224,7 +229,7 @@ def test_samples_csv_matches_the_row_formatter_on_a_strided_read_only_view():
     view.flags.writeable = False
     batch = metrology.SampleBatch(view, metrology.AccuracyModel(0.01), 45, 10)
     assert batch.values is view and not view.flags.c_contiguous
-    assert view.size > CSV_CHUNK_ROWS
+    assert view.size > CHUNK_ROWS
     with np.errstate(invalid="ignore"):
         assert_csv_matches_rows(batch)
 
@@ -242,7 +247,7 @@ def test_samples_csv_digest_over_more_than_one_chunk(tmp_path):
         flip_config(tmp_path, out_dir=str(tmp_path), samples_per_batch=2000, batch_count=5, seed=5)
     )
     data = (tmp_path / "samples.csv").read_bytes()
-    assert data.count(b"\n") == 10_001 > CSV_CHUNK_ROWS
+    assert data.count(b"\n") == 10_001 > CHUNK_ROWS
     assert (
         hashlib.sha256(data).hexdigest()
         == "fbc5c6b8f188fbd063b52638e54c8b259bd9003aeccb8c06864434374e960d66"
@@ -256,10 +261,10 @@ def test_every_samples_csv_stream_matches_the_row_formatter_over_three_chunks(tm
         flip_config(tmp_path, out_dir=str(tmp_path), samples_per_batch=per, batch_count=3, seed=5)
     )
     want = samples_csv_by_rows(draw_samples(clocked, 1 / 450, per, seeds))
-    assert want.count("\n") == 3 * per + 1 > 2 * CSV_CHUNK_ROWS + 1
+    assert want.count("\n") == 3 * per + 1 > 2 * CHUNK_ROWS + 1
     assert (tmp_path / "samples.csv").read_bytes() == want.encode()
 
-    n = 2 * CSV_CHUNK_ROWS + 7
+    n = 2 * CHUNK_ROWS + 7
     want = samples_csv_by_rows(draw_samples(clocked, 1 / 450, n, [3])).encode()
     argv = ["sample", FLIP, "--input", "0", "--samples", str(n), "--seed", "3"]
     assert cli_dispatch(argv) == EXIT_OK
@@ -288,7 +293,7 @@ def test_samples_csv_writer_holds_one_chunk_whatever_the_row_count():
     # 2 and 8 chunks of rows: text kept from chunk to chunk would add about
     # 40 bytes a row. (At 100k and 400k rows the peaks are as flat, but
     # tracing takes about 11 us a row.)
-    small, large = (_flip_batch(k * CSV_CHUNK_ROWS) for k in (2, 8))
+    small, large = (_flip_batch(k * CHUNK_ROWS) for k in (2, 8))
     peaks = [_traced_peak(write_samples_csv, batch, _Discard()) for batch in (small, large)]
     assert abs(peaks[1] - peaks[0]) < 1_000_000, peaks
 
@@ -477,11 +482,33 @@ def _run_on(argv, spec) -> int:
 def test_cli_missing_file_is_io_error(capsys):
     missing = "/nonexistent/machine.rtm"
     assert cli_dispatch(["validate", missing]) == EXIT_IO
-    assert capsys.readouterr().err.startswith("[io] ")
+    assert capsys.readouterr().err.startswith("[parse] [Errno 2] ")
     for argv in PIPELINE_COMMANDS:
         assert _run_on(argv, missing) == EXIT_IO, argv
         err = capsys.readouterr().err
         assert err.startswith("[parse] [Errno 2] ") and len(err.splitlines()) == 1, (argv, err)
+
+
+UNREADABLE_SPECS = {  # how to make the spec, the exit code, the stderr line's start
+    "missing": (lambda path: None, EXIT_IO, "[parse] [Errno 2] "),
+    "directory": (lambda path: path.mkdir(), EXIT_IO, "[parse] [Errno 21] "),
+    "non-utf-8": (lambda path: path.write_bytes(b"states: \xff\n"), EXIT_VALIDATION,
+                  "[parse] 'utf-8' codec "),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE_SPECS))
+def test_unreadable_spec_gets_one_line_from_every_machine_command(case, tmp_path, capsys):
+    make, code, start = UNREADABLE_SPECS[case]
+    spec = tmp_path / "machine.rtm"
+    make(spec)
+    lines = set()
+    for argv in [["validate", "SPEC"]] + PIPELINE_COMMANDS:
+        assert _run_on(argv, spec) == code, argv
+        lines.add(capsys.readouterr().err)
+    assert len(lines) == 1, lines
+    (line,) = lines
+    assert line.startswith(start) and line.count("\n") == 1, line
 
 
 IRREVERSIBLE = {  # a has no rule for 1; a sends both symbols to (h, 1)
@@ -622,12 +649,19 @@ def test_cli_experiment_deterministic_stdout(tmp_path, capsys):
     ]
     assert cli_dispatch(args) == EXIT_OK
     first = capsys.readouterr().out
-    assert cli_dispatch(args) == EXIT_OK
-    second = capsys.readouterr().out
-    assert first == second
+    assert cli_dispatch(args + ["--out", str(tmp_path)]) == EXIT_OK
+    second, err = capsys.readouterr()
+    assert first == second == (tmp_path / "report.json").read_text(encoding="utf-8")
+    # the command times the run itself: one line on stderr, none in the report
+    assert re.fullmatch(r"elapsed: \d+\.\d{3}s\n", err), err
     report = json.loads(first)
     assert report["agreement"] is True
     assert "timing" not in json.dumps(report)
+    assert set(report) == {
+        "accuracy", "accuracy_coarser_than_grid", "agreement", "config", "d_observed",
+        "decision", "f_ground_truth", "locality_max_support", "machine", "r_nominal",
+        "seed", "spectral_summary", "tool_version",
+    }
 
 
 def test_cli_experiment_config_file(tmp_path, capsys):
