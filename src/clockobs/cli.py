@@ -191,13 +191,15 @@ def _at_least(low: int):
 
 
 def _accuracy(text: str) -> float | str:
-    """argparse type for --accuracy: 'auto' or a positive finite number."""
+    """argparse type for --accuracy: 'auto' or a number in (0, ``harness.MAX_ACCURACY``]."""
     if text == harness.AUTO_ACCURACY:
         return text
     try:
         return harness.resolve_accuracy(float(text), 1, 1)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number > 0 or 'auto', got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected a number in (0, {harness.MAX_ACCURACY!r}] or 'auto', got {text!r}"
+        ) from None
 
 
 class _CommandParser(argparse.ArgumentParser):

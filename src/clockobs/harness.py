@@ -20,7 +20,7 @@ a report holds no wall-clock time.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -33,6 +33,9 @@ from . import __version__, circuits, clock, metrology, rtm
 from .errors import BudgetExceededError, ClockObsError, StageError
 
 AUTO_ACCURACY = "auto"
+# Widest accuracy: a failed outcome is drawn from [-1 - delta, 1 + delta],
+# whose width numpy needs finite; the next float up overflows it.
+MAX_ACCURACY = sys.float_info.max / 2
 MAX_BATCHES = 10_000  # each batch has its own generator and report entries
 
 
@@ -115,11 +118,13 @@ def batch_seed(seed: int, batch_index: int) -> list[int]:
 
 def resolve_accuracy(value: float | str, r: int, s: int) -> float:
     """Accuracy delta for a setting: "auto" is the grid spacing 1/(r*s);
-    anything else must be a positive finite number."""
+    anything else must be a number in (0, ``MAX_ACCURACY``]."""
     if value == AUTO_ACCURACY:
         return 1.0 / (r * s)
-    if type(value) not in (int, float) or not (math.isfinite(value) and value > 0):
-        raise ValueError(f"accuracy must be a positive number or 'auto', got {value!r}")
+    if type(value) not in (int, float) or not 0 < value <= MAX_ACCURACY:
+        raise ValueError(
+            f"accuracy must be a number in (0, {MAX_ACCURACY!r}] or 'auto', got {value!r}"
+        )
     return float(value)
 
 
@@ -201,22 +206,34 @@ def _reprs(values: np.ndarray) -> list[str]:
     return items
 
 
+def _suffixes(grid) -> list[str]:
+    """The row suffix (kept flag, grid index, parity) of each grid index in
+    ``grid``, -1 standing for a row that is not kept."""
+    return [f",1,{k},{k % 2}\n" if k >= 0 else ",0,,\n" for k in grid]
+
+
 def write_samples_csv(batch: metrology.SampleBatch, fh: TextIO) -> None:
     """Write samples.csv to the text stream ``fh``, one row per sample: trial,
     raw value, kept flag, grid index, parity. Each chunk of rows is rounded,
-    built a column at a time with one suffix per distinct grid index, and
-    written before the next, so the text held is one chunk's. The numbers
-    are written by ``_reprs``, in the ``repr`` text the CSV bytes pin."""
+    built a column at a time, and written before the next, so the text held
+    is one chunk's. A kept row's grid index lies in 0..r*s, so when there are
+    at least r*s + 2 rows the suffixes come from one table of them all;
+    fewer rows make one suffix per distinct grid index in each chunk. The
+    numbers are written by ``_reprs``, in the ``repr`` text the CSV bytes pin."""
     fh.write("trial,raw_value,filtered,j,parity\n")
-    for a in range(0, batch.values.size, metrology.CHUNK_ROWS):
+    size, top = batch.values.size, batch.r * batch.s
+    table = np.array(_suffixes(range(-1, top + 1)), object) if top + 2 <= size else None
+    for a in range(0, size, metrology.CHUNK_ROWS):
         values = batch.values[a:a + metrology.CHUNK_ROWS]
         kept, j = metrology.filter_round(values, batch.r, batch.s)
-        grid, row = np.unique(np.where(kept, j, -1), return_inverse=True)
-        suffix = [f",1,{k},{k % 2}\n" if k >= 0 else ",0,,\n" for k in grid.tolist()]
         parts = [","] * (4 * values.size)  # trial, ",", raw value, suffix
         parts[0::4] = _reprs(np.arange(a, a + values.size))
         parts[2::4] = _reprs(values)
-        parts[3::4] = np.array(suffix, object)[row].tolist()
+        if table is not None:
+            parts[3::4] = table[np.where(kept, j + 1, 0)].tolist()
+        else:
+            grid, row = np.unique(np.where(kept, j, -1), return_inverse=True)
+            parts[3::4] = np.array(_suffixes(grid.tolist()), object)[row].tolist()
         fh.write("".join(parts))
 
 

@@ -17,6 +17,7 @@ odd fraction at 5/16 decides the answer, with a standard exponential
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -35,7 +36,8 @@ PHASE_ANCILLA_CAP = 14
 # Python 3.11).
 MAX_SAMPLES = 2_000_000
 # Rows drawn, tallied or written per step: beyond the one array of samples,
-# drawing, deciding and writing samples.csv hold about one chunk.
+# drawing, deciding and writing samples.csv hold about one chunk. A cycle of
+# at most this length has its eigenvalues tabulated (64 KB at most).
 CHUNK_ROWS = 8192
 
 FAILURE_MODES = ("uniform_full_range", "adversarial_offset")
@@ -98,12 +100,23 @@ def check_sample_budget(n: int) -> None:
         raise BudgetExceededError(f"{n} samples exceed the cap {MAX_SAMPLES}")
 
 
+@functools.lru_cache(maxsize=16)
+def _cycle_table(d: int) -> np.ndarray:
+    """``cycle_eigenvalue`` at every position of the d-cycle, as a read-only
+    array shared by every draw on that cycle; the 16 tables kept hold at
+    most 1 MB for d <= ``CHUNK_ROWS``."""
+    table = cycle_eigenvalue(np.arange(d), d)
+    table.flags.writeable = False
+    return table
+
+
 def _fill_measurements(
     acc: AccuracyModel, d: int, rng: np.random.Generator, out: np.ndarray
 ) -> None:
     """Fill ``out`` with measurements drawn from ``rng``, ``CHUNK_ROWS`` at a
     time. A uniform position u gives the true value cos(2*pi*u/d) with its
-    exact (1/d, 2/d) weight, because u and d-u fold onto one value. The draws
+    exact (1/d, 2/d) weight, because u and d-u fold onto one value; for
+    d <= ``CHUNK_ROWS`` it is looked up in the cycle's cached table. The draws
     keep the order of one whole-array call: every position, then every
     success flag, every noise term, and the failed outcomes; each of those
     streams split into chunks gives the same numbers as drawn whole, so the
@@ -111,8 +124,10 @@ def _fill_measurements(
     flag per row and one chunk."""
     cuts = range(CHUNK_ROWS, len(out), CHUNK_ROWS)
     parts = np.split(out, cuts)
+    table = _cycle_table(d) if d <= CHUNK_ROWS else None
     for part in parts:  # outcomes hold the true values until the noise is added
-        part[:] = cycle_eigenvalue(rng.integers(d, size=part.size), d)
+        u = rng.integers(d, size=part.size)
+        part[:] = cycle_eigenvalue(u, d) if table is None else table[u]
     failed = np.split(np.empty(len(out), bool), cuts)
     for flags in failed:
         flags[:] = rng.random(flags.size) >= acc.success_prob

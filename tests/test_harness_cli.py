@@ -26,6 +26,7 @@ from clockobs.cli import (
 )
 from clockobs.errors import BudgetExceededError, StageError
 from clockobs.harness import (
+    MAX_ACCURACY,
     MAX_BATCHES,
     ExperimentConfig,
     batch_seed,
@@ -181,9 +182,10 @@ def assert_csv_matches_rows(batch: metrology.SampleBatch) -> str:
 
 
 @pytest.mark.parametrize(
-    "n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 7]
+    "n", [1, 451, 452, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 7]
 )
 def test_samples_csv_matches_the_row_formatter_across_chunks(n):
+    # from r*s + 2 = 452 rows on, the row suffixes come from one table
     assert assert_csv_matches_rows(_flip_batch(n)).count("\n") == n + 1
 
 
@@ -237,8 +239,9 @@ def test_samples_csv_matches_the_row_formatter_on_a_strided_read_only_view():
 def test_samples_csv_matches_the_row_formatter_on_a_wide_grid_and_pooled_batches():
     clocked = clock_orbit(build_wrapper_circuit(corpus.load("flipwalk")), "00")
     assert clocked.r_nominal * clocked.circuit.s == 9690
-    for seeds in ([[1, 0]], [[1, b] for b in range(4)]):
-        assert_csv_matches_rows(draw_samples(clocked, 1 / 9690, 3000, seeds))
+    # 9,691 rows make their suffixes per chunk, 4 * 2,423 = 9,692 from one table
+    for n, seeds in ((9691, [[1, 0]]), (2423, [[1, b] for b in range(4)])):
+        assert_csv_matches_rows(draw_samples(clocked, 1 / 9690, n, seeds))
 
 
 def test_samples_csv_digest_over_more_than_one_chunk(tmp_path):
@@ -411,9 +414,16 @@ def test_resolve_accuracy():
     assert resolve_accuracy(0.5, 4, 5) == 0.5
     assert resolve_accuracy(2, 4, 5) == 2.0
     # a string other than "auto" is refused; the CLI parses numbers itself
-    for bad in ("0.5", "abc", "0", -1.0, 0, True, float("nan"), float("inf"), "inf", None):
+    wider = math.nextafter(MAX_ACCURACY, math.inf)
+    bad_values = ("0.5", "abc", "0", -1.0, 0, True, float("nan"), float("inf"), "inf", None)
+    for bad in (*bad_values, wider, 1e308, 10**400):
         with pytest.raises(ValueError):
             resolve_accuracy(bad, 4, 5)
+    # the widest accuracy still draws finite outcomes in both failure modes
+    assert resolve_accuracy(MAX_ACCURACY, 4, 5) == MAX_ACCURACY
+    for mode in metrology.FAILURE_MODES:
+        acc = metrology.AccuracyModel(MAX_ACCURACY, failure_mode=mode)
+        assert np.isfinite(metrology.draw_batch(acc, 450, 1000, 1, 45, 10).values).all()
 
 
 def test_config_round_trips_through_json(tmp_path):
@@ -722,6 +732,9 @@ BAD_CONFIGS = {
     "float-max-run-steps": {"spec_path": FLIP, "input_word": "0", "max_run_steps": 1.5},
     "zero-max-run-steps": {"spec_path": FLIP, "input_word": "0", "max_run_steps": 0},
     "negative-max-run-steps": {"spec_path": FLIP, "input_word": "0", "max_run_steps": -5},
+    "huge-accuracy": {"spec_path": FLIP, "input_word": "0", "accuracy": 1e308},
+    # a JSON integer too large for a float
+    "huge-int-accuracy": {"spec_path": FLIP, "input_word": "0", "accuracy": 10**400},
 }
 
 
@@ -736,6 +749,9 @@ BAD_CONFIGS = {
         ["decide", FLIP, "--input", "0", "--accuracy", "inf"],
         ["experiment", "--spec", FLIP, "--input", "0", "--accuracy", "-1"],
         ["experiment", "--spec", FLIP, "--input", "0", "--accuracy", "abc"],
+        # a failure window wider than the largest float cannot be drawn from
+        ["sample", FLIP, "--input", "0", "--accuracy", "1e308"],
+        ["experiment", "--spec", FLIP, "--input", "0", "--accuracy", "1e308"],
         ["decide", FLIP, "--input", "0", "--samples", "0"],
         ["sample", FLIP, "--input", "0", "--samples", "0"],
         ["phase-estimate", "--phi", "1/3", "--m", "20"],

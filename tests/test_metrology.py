@@ -17,6 +17,7 @@ from clockobs.metrology import (
     PROBABILITY_GAP,
     AccuracyModel,
     SampleBatch,
+    _cycle_table,
     _fill_measurements,
     chernoff_confidence,
     decide,
@@ -115,7 +116,7 @@ def test_batches_reproducible_by_seed():
 
 
 @pytest.mark.parametrize("mode", FAILURE_MODES)
-@pytest.mark.parametrize("d", [1, 450, 19380])
+@pytest.mark.parametrize("d", [1, 450, CHUNK_ROWS, CHUNK_ROWS + 1, 19380])
 def test_chunked_draws_equal_one_whole_array_draw(d, mode):
     acc = AccuracyModel(delta=0.01, failure_mode=mode)
     n = 2 * CHUNK_ROWS + 7
@@ -124,6 +125,17 @@ def test_chunked_draws_equal_one_whole_array_draw(d, mode):
     _fill_measurements(acc, d, chunked, got)
     assert np.array_equal(got, draw_measurements_whole(acc, d, n, whole))
     assert chunked.random() == whole.random()  # the same draws were used up
+
+
+def test_cycle_tables_are_read_only_and_kept_only_for_short_cycles():
+    acc = AccuracyModel(delta=0.01)
+    draw_batch(acc, CHUNK_ROWS, 10, seed=1, r=1, s=1)
+    with pytest.raises(ValueError):
+        _cycle_table(CHUNK_ROWS)[0] = 2.0
+    # a longer cycle keeps the per-chunk formula, so it adds no table
+    cached = _cycle_table.cache_info().currsize
+    draw_batch(acc, CHUNK_ROWS + 1, 10, seed=1, r=1, s=1)
+    assert _cycle_table.cache_info().currsize == cached
 
 
 def test_sample_batch_values_are_read_only():
