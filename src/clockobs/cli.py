@@ -31,12 +31,12 @@ EXIT_IO = 4
 
 
 @contextmanager
-def _output(out: str | None):
-    """The text stream a command writes to: the file ``out``, or stdout."""
+def _output(out: str | None, binary: bool = False):
+    """The stream a command writes to: the file ``out``, or stdout; bytes if ``binary``."""
     if not out:
-        yield sys.stdout
+        yield sys.stdout.buffer if binary else sys.stdout
         return
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(out, "wb") if binary else open(out, "w", encoding="utf-8") as fh:
         yield fh
 
 
@@ -55,9 +55,10 @@ def _cmd_validate(args) -> int:
 
 def _cmd_compile(args) -> int:
     circuit = harness.compile_circuit(harness.load_machine(args.spec), not args.no_merge_cells)
-    with _output(args.out) as fh:  # two writes: no copy of a dump of tens of MB
-        fh.write(circuits.dump_circuit_json(circuit))
-        fh.write("\n")
+    data = circuits.dump_circuit_json(circuit)  # first: a dump over its cap opens no file
+    with _output(args.out, binary=True) as fh:  # two writes: no copy of a dump of tens of MB
+        fh.write(data)
+        fh.write(b"\n")
     return EXIT_OK
 
 

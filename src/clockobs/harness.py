@@ -51,8 +51,15 @@ class ExperimentConfig:
     merge_cells: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.merge_cells, bool):
-            raise ValueError(f"merge_cells must be true or false, got {self.merge_cells!r}")
+        for name, kind, what in (
+            ("spec_path", str, "a string"),
+            ("input_word", str, "a string"),
+            ("out_dir", (str, type(None)), "a string or null"),
+            ("merge_cells", bool, "true or false"),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         for name, low in {"samples_per_batch": 1, "batch_count": 1, "seed": 0}.items():
             value = getattr(self, name)
             if type(value) is not int:
@@ -282,10 +289,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         accuracy=accuracy,
         accuracy_coarser_than_grid=accuracy > 1.0 / (grid_r * grid_s) + 1e-15,
         seed=config.seed,
-        config={  # as given, less the output directory
-            **{k: v for k, v in asdict(config).items() if k != "out_dir"},
-            "spec_path": str(config.spec_path),
-        },
+        config={k: v for k, v in asdict(config).items() if k != "out_dir"},  # less out_dir
     )
 
     if config.out_dir is not None:

@@ -8,7 +8,8 @@ the sweep here decides it by stepping every configuration with
 ``rtm.step_machine``, so the two can be compared machine by machine.
 ``clock.compute_orbit`` and ``circuits.circuit_orbit_length`` walk whole
 passes as generated code; ``apply_forward`` takes one forward step of the
-clocked circuit, and ``orbit_length_by_steps`` walks passes one
+clocked circuit, ``apply_backward`` one step of its inverse, built from each
+gate's inverted table, and ``orbit_length_by_steps`` walks passes one
 ``PermGate.apply_values`` at a time.
 ``PermGate`` keeps only the points its table moves; ``field_table``
 rebuilds the whole table over its fields from them.
@@ -24,6 +25,7 @@ seeded batch.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from itertools import product
@@ -155,6 +157,23 @@ def apply_forward(op: ForwardOperator, state: ClockedState) -> ClockedState:
     values = list(state.circuit_state.values)
     gate.apply_values(values)
     return ClockedState(BasisState(tuple(values)), state.clock_pos % op.s + 1)
+
+
+# keyed by gate identity (gates are read-only): one inversion per gate, not per step
+@functools.lru_cache(maxsize=64)
+def _inverse_gate(gate: PermGate) -> PermGate:
+    """The gate that undoes ``gate``: its table over its fields, inverted."""
+    return PermGate(gate.support, gate.dims, np.argsort(field_table(gate)), gate.label, gate.fields)
+
+
+def apply_backward(op: ForwardOperator, state: ClockedState) -> ClockedState:
+    """One step of the backward operator F⁻¹: move the excitation back (1
+    wraps to s) and undo the gate it lands on, with that gate's inverted
+    table."""
+    pos = (state.clock_pos - 2) % op.s + 1
+    values = list(state.circuit_state.values)
+    _inverse_gate(op.circuit.gates[pos - 1]).apply_values(values)
+    return ClockedState(BasisState(tuple(values)), pos)
 
 
 def orbit_length_by_steps(

@@ -775,20 +775,54 @@ def _bench_flip3():
     return parse_rtm_spec(machines["FLIP3"], "flip3")
 
 
-def _compact_json(dump: dict) -> str:
-    return json.dumps(dump, sort_keys=True, separators=(",", ":"))
+def _expected_dump(circuit: Circuit) -> dict:
+    """The ``clockobs-circuit/1`` dump built here from the layout and each
+    gate's wire-level table, independently of the encoder."""
+    lay = circuit.layout
+    wires = [
+        {"id": w.id, "dimension": w.dimension, "fields": list(w.fields),
+         "field_dims": list(w.field_dims)}
+        for w in lay.wires
+    ]
+    gates = [
+        {"label": g.label, "support": list(g.support), "dims": list(g.dims),
+         "table": g.table.tolist()}
+        for g in circuit.gates
+    ]
+    return {
+        "format": "clockobs-circuit/1",
+        "header": {"merged_cells": lay.merged, "m": lay.m, "counter_size": lay.counter_size,
+                   "unwind_run_idle_policy": "hold"},
+        "layout": {
+            "wires": wires,
+            "registers": {name: list(slot) for name, slot in lay.slots.items()},
+            "states": list(lay.spec.states),
+            "alphabet": list(lay.spec.alphabet),
+            "tape_cells": lay.spec.tape_cells,
+            "result_cell": lay.spec.result_cell,
+        },
+        "gates": gates,
+    }
+
+
+def _assert_dump_is_json_dumps_of_the_expected_dump(circuit: Circuit) -> None:
+    expected = _expected_dump(circuit)
+    assert dump_circuit_json(circuit) == json.dumps(
+        expected, sort_keys=True, separators=(",", ":")
+    ).encode()
+    assert dump_circuit(circuit) == expected
 
 
 @pytest.mark.parametrize("merged", [True, False])
 @pytest.mark.parametrize("name", corpus.machine_names())
 def test_dump_json_is_json_dumps_of_the_dump(name, merged):
     circuit = build_wrapper_circuit(corpus.load(name), merge_cells=merged)
-    assert dump_circuit_json(circuit) == _compact_json(dump_circuit(circuit))
+    _assert_dump_is_json_dumps_of_the_expected_dump(circuit)
 
 
 def test_dump_json_is_json_dumps_of_the_dump_for_unmerged_flip3():
     circuit = build_wrapper_circuit(_bench_flip3(), merge_cells=False)
-    assert dump_circuit_json(circuit) == _compact_json(dump_circuit(circuit))
+    _assert_dump_is_json_dumps_of_the_expected_dump(circuit)
 
 
 def test_dump_json_is_json_dumps_of_the_dump_for_generated_machines():
@@ -801,7 +835,7 @@ def test_dump_json_is_json_dumps_of_the_dump_for_generated_machines():
         except ClockObsError:
             continue
         if sum(math.prod(g.dims) for g in circuit.gates) <= 200_000:  # keeps the test short
-            assert dump_circuit_json(circuit) == _compact_json(dump_circuit(circuit))
+            _assert_dump_is_json_dumps_of_the_expected_dump(circuit)
             compiled += 1
 
 
@@ -830,9 +864,9 @@ def test_dump_of_non_ascii_names_parses_to_the_dump():
         "states: début:rw fin:final\nalphabet: ∅ ñ\ninitial: début\ntape_cells: 1\n"
         "transition: rw (début,∅) -> (fin,ñ)\ntransition: rw (début,ñ) -> (fin,∅)\n"
     ))
-    text = dump_circuit_json(circuit)
-    assert "début" in text and "ñ" in text
-    assert json.loads(text) == dump_circuit(circuit)
+    data = dump_circuit_json(circuit)
+    assert "début".encode() in data and "ñ".encode() in data
+    assert json.loads(data) == _expected_dump(circuit)
 
 
 def _table_by_apply_values(gate: PermGate, indices) -> list[int]:
@@ -863,6 +897,43 @@ def _assert_table_matches_apply_values(gate: PermGate, most: int = 4096) -> None
 def test_wire_table_matches_apply_values(name, merged):
     for gate in build_wrapper_circuit(corpus.load(name), merge_cells=merged).gates:
         _assert_table_matches_apply_values(gate)
+
+
+def test_wire_table_matches_apply_values_on_generated_machines():
+    # generated machines fold one-valued registers into other wires and put
+    # up to four tape cells beside the core wire, in both layouts
+    rng = random.Random(17)
+    compiled = Counter()
+    while min(compiled[True], compiled[False]) < 10:
+        spec = random_machine(rng)
+        merged = compiled[True] <= compiled[False]
+        try:
+            circuit = build_wrapper_circuit(spec, merge_cells=merged)
+        except ClockObsError:
+            continue
+        if sum(math.prod(g.dims) for g in circuit.gates) > 200_000:  # keeps the test short
+            continue
+        for gate in circuit.gates:
+            _assert_table_matches_apply_values(gate, most=64)
+        compiled[merged] += 1
+
+
+def test_wire_table_matches_apply_values_with_riders_on_both_wires():
+    # compiled circuits ride digits along on one support wire at most; these
+    # gates read one or two of the three digits on each of two wires, packed
+    # in any order
+    rng = random.Random(5)
+    for _ in range(20):
+        fields, dims = [], []
+        for w in (0, 1):
+            digits = [rng.randint(2, 3) for _ in range(3)]
+            for k in rng.sample(range(3), rng.randint(1, 2)):
+                fields.append((w, math.prod(digits[k + 1:]), digits[k]))
+            dims.append(math.prod(digits))
+        rng.shuffle(fields)
+        size = math.prod(d for _, _, d in fields)
+        table = np.random.default_rng(rng.randrange(2**32)).permutation(size)
+        _assert_table_matches_apply_values(PermGate((0, 1), dims, table, "riders", fields))
 
 
 def test_wire_table_matches_apply_values_with_several_fields_on_one_wire():

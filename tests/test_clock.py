@@ -22,7 +22,7 @@ from clockobs.clock import (
     spectral_model,
 )
 from clockobs.errors import BudgetExceededError, DimensionError
-from oracle import apply_forward, dense_orbit_oracle, expanded_eigenvalues
+from oracle import apply_backward, apply_forward, dense_orbit_oracle, expanded_eigenvalues
 
 
 def identity_op(n_gates=1):
@@ -118,6 +118,47 @@ def test_orbit_states_distinct_and_recur():
         seen.add(key)
         state = apply_forward(op, state)
     assert state == initial  # the d-th step closes the cycle
+
+
+CORPUS_STARTS = {
+    "halt": ("0", "1"), "flip": ("0", "1"), "rot3": ("0", "1"), "flipwalk": ("00", "10"),
+}
+
+
+@pytest.mark.parametrize("merged", [True, False])
+@pytest.mark.parametrize("name", list(CORPUS_STARTS))
+def test_backward_step_undoes_the_forward_step_along_every_corpus_orbit(name, merged):
+    op = ForwardOperator(build_wrapper_circuit(corpus.load(name), merge_cells=merged))
+    for word in CORPUS_STARTS[name]:
+        initial = ClockedState(op.circuit.layout.initial_basis_state(word), 1)
+        state = initial
+        for step in range(compute_orbit(op, initial).dimension):
+            after = apply_forward(op, state)
+            assert apply_backward(op, after) == state, (word, step)
+            state = after
+        assert state == initial
+
+
+@pytest.mark.parametrize("word, d", [("0", 210), ("1", 420)])
+def test_symmetrized_operator_moments_match_the_closed_form(word, d):
+    # <x|H^k|x> with H = (F + F^-1)/2 pushed as a sparse vector over basis
+    # states is the k-th moment of the outcome distribution: the mean of
+    # cos^k(2 pi j / d) over j
+    op = ForwardOperator(build_wrapper_circuit(corpus.load("halt")))
+    initial = ClockedState(op.circuit.layout.initial_basis_state(word), 1)
+    neighbours = {}  # state -> (F state, F^-1 state), each computed once
+    vector = {initial: 1.0}
+    cosines = np.cos(2 * np.pi * np.arange(d) / d)
+    for k in range(1, d + 1):
+        pushed = {}
+        for state, amplitude in vector.items():
+            if state not in neighbours:
+                neighbours[state] = (apply_forward(op, state), apply_backward(op, state))
+            for image in neighbours[state]:
+                pushed[image] = pushed.get(image, 0.0) + amplitude / 2
+        vector = pushed
+        assert vector.get(initial, 0.0) == pytest.approx(np.mean(cosines**k), abs=1e-12), k
+    assert len(neighbours) == d  # the vector never leaves the orbit
 
 
 def forward_steps_to_recur(op, initial):

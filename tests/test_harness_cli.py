@@ -574,6 +574,25 @@ def test_cli_compile_and_replay(tmp_path):
     assert len(dump["gates"]) > 0
 
 
+@pytest.mark.parametrize("merged", [True, False])
+def test_cli_compile_writes_the_dump_bytes_and_a_newline(merged, tmp_path, capsysbinary):
+    flag = [] if merged else ["--no-merge-cells"]
+    want = circuits.dump_circuit_json(build_wrapper_circuit(corpus.load("flip"), merged)) + b"\n"
+    assert cli_dispatch(["compile", FLIP, *flag]) == EXIT_OK
+    assert capsysbinary.readouterr().out == want
+    out = tmp_path / "V.json"
+    assert cli_dispatch(["compile", FLIP, *flag, "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == want
+
+
+def test_cli_compile_over_the_dump_cap_writes_no_file(tmp_path, monkeypatch):
+    # the dump is encoded before --out is opened
+    monkeypatch.setattr(circuits, "MAX_DUMP_ENTRIES", 1000)
+    out = tmp_path / "V.json"
+    assert cli_dispatch(["compile", FLIP, "--out", str(out)]) == EXIT_BUDGET
+    assert not out.exists()
+
+
 def test_cached_parser_carries_no_option_between_calls(tmp_path, capsys):
     # the parser is built once per process; each call must still start clean
     assert build_parser() is build_parser()
@@ -735,6 +754,17 @@ BAD_CONFIGS = {
     "huge-accuracy": {"spec_path": FLIP, "input_word": "0", "accuracy": 1e308},
     # a JSON integer too large for a float
     "huge-int-accuracy": {"spec_path": FLIP, "input_word": "0", "accuracy": 10**400},
+    # strings of the wrong type, refused before any stage runs
+    "list-input-word": {"spec_path": FLIP, "input_word": ["0"]},
+    "int-input-word": {"spec_path": FLIP, "input_word": 5},
+    "list-spec-path": {"spec_path": [FLIP], "input_word": "0"},
+    "bool-out-dir": {"spec_path": FLIP, "input_word": "0", "out_dir": True},
+}
+WRONG_TYPE_CONFIGS = {  # config key: the field it gives a wrong type
+    "list-input-word": "input_word",
+    "int-input-word": "input_word",
+    "list-spec-path": "spec_path",
+    "bool-out-dir": "out_dir",
 }
 
 
@@ -785,6 +815,18 @@ def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("key,field", list(WRONG_TYPE_CONFIGS.items()))
+def test_config_of_the_wrong_type_fails_before_any_stage(key, field, tmp_path, monkeypatch, capsys):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran before the config was checked")
+
+    monkeypatch.setattr("clockobs.harness.parse_machine", no_stage)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BAD_CONFIGS[key]), encoding="utf-8")
+    assert cli_dispatch(["experiment", "--config", str(path)]) == EXIT_VALIDATION
+    assert re.fullmatch(rf"\[error\] {field} must be a string.*\n", capsys.readouterr().err)
 
 
 def write_wide(tmp_path, cells: int = 24) -> str:
