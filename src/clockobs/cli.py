@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: validate, compile, orbit, spectrum, sample, decide,
-phase-estimate, experiment. compile, orbit, sample and decide run the same
-stages as ``harness.run_experiment`` (parse, validate, compile, orbit,
-accuracy, sample), so they refuse an irreversible machine as it does, and
-validate shares their parse stage. Exit codes: 0 success, 2 validation
-failure, 3 budget exhaustion, 4 I/O failure.
+phase-estimate, experiment. orbit, sample and decide take their machine from
+``harness.clock_machine`` (parse, validate, compile, ground-truth, orbit) and
+draw through ``harness.draw_samples``, which resolves the accuracy, as
+experiment does; compile and validate share the first stages. Exit codes: 0
+success, 2 validation failure, 3 budget exhaustion, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,8 +34,9 @@ EXIT_IO = 4
 @contextmanager
 def _output(out: str | None, binary: bool = False):
     """The stream a command writes to: the file ``out``, or stdout; bytes if ``binary``."""
-    if not out:
-        yield sys.stdout.buffer if binary else sys.stdout
+    if not out:  # a stdout that takes only text, such as an io.StringIO, gets bytes decoded
+        text = SimpleNamespace(write=lambda data: sys.stdout.write(data.decode()))
+        yield getattr(sys.stdout, "buffer", text) if binary else sys.stdout
         return
     with open(out, "wb") if binary else open(out, "w", encoding="utf-8") as fh:
         yield fh
@@ -62,14 +64,8 @@ def _cmd_compile(args) -> int:
     return EXIT_OK
 
 
-def _clocked(args) -> tuple[rtm.RtmSpec, harness.ClockedCircuit]:
-    spec = harness.load_machine(args.spec)
-    circuit = harness.compile_circuit(spec, not args.no_merge_cells)
-    return spec, harness.clock_orbit(circuit, args.input)
-
-
 def _cmd_orbit(args) -> int:
-    spec, clocked = _clocked(args)
+    spec, _, clocked = harness.clock_machine(args.spec, args.input, not args.no_merge_cells)
     circuit, locality, d_obs = clocked.circuit, clocked.locality, clocked.orbit.dimension
     _emit(
         {
@@ -103,9 +99,8 @@ def _cmd_spectrum(args) -> int:
 def _draw(args) -> tuple[rtm.RtmSpec, metrology.SampleBatch]:
     """One batch of ``--samples`` draws seeded with ``--seed``."""
     metrology.check_sample_budget(args.samples)
-    spec, clocked = _clocked(args)
-    delta = harness.resolve_accuracy(args.accuracy, clocked.r_nominal, clocked.circuit.s)
-    return spec, harness.draw_samples(clocked, delta, args.samples, [args.seed])
+    spec, _, clocked = harness.clock_machine(args.spec, args.input, not args.no_merge_cells)
+    return spec, harness.draw_samples(clocked, args.accuracy, args.samples, [args.seed])
 
 
 def _cmd_sample(args) -> int:

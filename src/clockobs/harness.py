@@ -7,11 +7,11 @@ observable's orbit, samples accuracy-limited outcomes and decides the
 machine's answer. Validate refuses a machine over ``rtm.MAX_CONFIG_BITS``
 and compile one over ``circuits.MAX_GATE_ENTRIES``; the ground-truth step
 budget is set by the compiled circuit's register size, so no machine is run
-that could not be compiled. The parse, validate, compile, orbit, accuracy,
-sampling and CSV stages are shared with the command line, so ``clockobs
-compile``/``orbit``/``sample``/``decide`` run the same code and refuse the
-same machines, and ``clockobs validate`` reads its spec in the same parse
-stage. Every stage failure but a budget one is re-raised tagged with the
+that could not be compiled, and one that does not halt within it is refused.
+``clock_machine`` runs parse to orbit, and the sample stage resolves the
+accuracy, for ``run_experiment`` and ``clockobs orbit``/``sample``/``decide``
+alike; ``clockobs compile`` and ``validate`` share the stages up to compile
+and parse. Every stage failure but a budget one is re-raised tagged with the
 stage name; a ``BudgetExceededError`` passes through as it is. Reports are
 reproducible: the same config and seed give byte-identical report files, so
 a report holds no wall-clock time.
@@ -184,15 +184,33 @@ def clock_orbit(circuit: circuits.Circuit, input_word: str) -> ClockedCircuit:
     return ClockedCircuit(circuit, r_nominal, locality, orbit)
 
 
+def clock_machine(
+    spec_path, input_word: str, merge_cells: bool
+) -> tuple[rtm.RtmSpec, rtm.RunResult, ClockedCircuit]:
+    """Stages parse, validate, compile, ground-truth and orbit: the machine at
+    ``spec_path``, its halting run on the input, and its clocked circuit."""
+    spec = load_machine(spec_path)
+    circuit = compile_circuit(spec, merge_cells)
+    with _stage("ground-truth"):
+        # a halting run never repeats a configuration, so it takes fewer
+        # than 2**m steps
+        budget = 4 * 2 ** (circuit.layout.m + 1)
+        truth = rtm.run_machine(spec, input_word, max_steps=budget)
+        if not truth.halted:
+            raise ClockObsError(f"machine did not halt within {budget} steps; cannot certify")
+    return spec, truth, clock_orbit(circuit, input_word)
+
+
 def draw_samples(
-    clocked: ClockedCircuit, accuracy: float, n: int, seeds: list
+    clocked: ClockedCircuit, accuracy: float | str, n: int, seeds: list
 ) -> metrology.SampleBatch:
     """Stage sample: n measurements per key in ``seeds``, drawn batch by batch
-    into one array. The experimenter's grid is the nominal cycle length, not
-    the observed one, so the accuracy cannot leak the answer."""
+    into one array, at the ``accuracy`` setting resolved on the grid. The
+    experimenter's grid is the nominal cycle length, not the observed one, so
+    the accuracy cannot leak the answer."""
     with _stage("sample"):
         r, s, d = clocked.r_nominal, clocked.circuit.s, clocked.orbit.dimension
-        acc_model = metrology.AccuracyModel(delta=accuracy)
+        acc_model = metrology.AccuracyModel(delta=resolve_accuracy(accuracy, r, s))
         values = np.empty(n * len(seeds))
         for b, key in enumerate(seeds):
             metrology.draw_batch(acc_model, d, n, seed=key, r=r, s=s, out=values[b * n:(b + 1) * n])
@@ -245,25 +263,11 @@ def write_samples_csv(batch: metrology.SampleBatch, fh: TextIO) -> None:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    spec = load_machine(config.spec_path)
-    circuit = compile_circuit(spec, config.merge_cells)
-
-    with _stage("ground-truth"):
-        # a halting run never repeats a configuration, so it takes fewer
-        # than 2**m steps
-        budget = 4 * 2 ** (circuit.layout.m + 1)
-        truth = rtm.run_machine(spec, config.input_word, max_steps=budget)
-        if not truth.halted:
-            raise ClockObsError(
-                f"machine did not halt within {budget} steps; cannot certify"
-            )
-
-    clocked = clock_orbit(circuit, config.input_word)
-    d = clocked.orbit.dimension
-    grid_r, grid_s = clocked.r_nominal, clocked.circuit.s
-    accuracy = resolve_accuracy(config.accuracy, grid_r, grid_s)
+    spec, truth, clocked = clock_machine(config.spec_path, config.input_word, config.merge_cells)
+    d, grid_r, grid_s = clocked.orbit.dimension, clocked.r_nominal, clocked.circuit.s
     seeds = [batch_seed(config.seed, b) for b in range(config.batch_count)]
-    pooled = draw_samples(clocked, accuracy, config.samples_per_batch, seeds)
+    pooled = draw_samples(clocked, config.accuracy, config.samples_per_batch, seeds)
+    accuracy = pooled.model.delta
 
     with _stage("decide"):
         decision = metrology.decide(pooled)

@@ -1,5 +1,6 @@
 """Test-only references: an exhaustive reversibility sweep with a seeded
-generator of small machines to run it on, a step-by-step forward operator
+generator of small machines to run it on (``spec_text`` writes one as spec
+text, for the commands that read a file), a step-by-step forward operator
 and a gate-by-gate orbit walk, and a dense eigensolver for the clock
 spectrum.
 
@@ -140,6 +141,26 @@ def random_machine(rng: random.Random) -> RtmSpec:
         initial_state=names[0],
         tape_cells=rng.randint(1, 4),
     )
+
+
+def spec_text(spec: RtmSpec) -> str:
+    """``spec`` in the ``.rtm`` format, which ``rtm.parse_rtm_spec`` reads back
+    to the same machine."""
+    lines = [
+        "states: " + " ".join(f"{name}:{kind.value}" for name, kind in spec.states.items()),
+        "alphabet: " + " ".join(spec.alphabet),
+        f"initial: {spec.initial_state}",
+        f"tape_cells: {spec.tape_cells}",
+        f"result_cell: {spec.result_cell}",
+    ]
+    for rule in spec.transitions:
+        if isinstance(rule, MovingRule):
+            lines.append(f"transition: move {rule.source} -> {rule.target} {rule.direction:+d}")
+        else:
+            lines.append(
+                f"transition: rw ({rule.source},{rule.read}) -> ({rule.target},{rule.write})"
+            )
+    return "\n".join(lines) + "\n"
 
 
 def field_table(gate: PermGate) -> np.ndarray:

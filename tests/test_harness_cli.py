@@ -1,8 +1,10 @@
+import contextlib
 import hashlib
 import io
 import itertools
 import json
 import math
+import random
 import re
 import subprocess
 import sys
@@ -13,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from clockobs import circuits, corpus, metrology
+from clockobs import circuits, corpus, metrology, rtm
 from clockobs.circuits import build_wrapper_circuit, circuit_orbit_length
 from clockobs.clock import spectral_model
 from clockobs.cli import (
@@ -30,6 +32,7 @@ from clockobs.harness import (
     MAX_BATCHES,
     ExperimentConfig,
     batch_seed,
+    clock_machine,
     clock_orbit,
     draw_samples,
     resolve_accuracy,
@@ -42,7 +45,7 @@ from clockobs.metrology import (
     phase_estimate_distribution,
     sample_phase_estimate,
 )
-from oracle import samples_csv_by_rows
+from oracle import random_machine, samples_csv_by_rows, spec_text
 from test_pinned_behaviour import WRAPPER_DUMPS
 
 FLIP = str(corpus.path("flip"))
@@ -585,6 +588,15 @@ def test_cli_compile_writes_the_dump_bytes_and_a_newline(merged, tmp_path, capsy
     assert out.read_bytes() == want
 
 
+def test_cli_compile_writes_the_dump_text_to_a_stdout_without_bytes():
+    # a stdout that takes only text, as under redirect_stdout, gets the dump
+    # decoded: the same text, not an AttributeError for its missing buffer
+    want = circuits.dump_circuit_json(build_wrapper_circuit(corpus.load("halt"))) + b"\n"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli_dispatch(["compile", str(corpus.path("halt"))]) == EXIT_OK
+    assert out.getvalue() == want.decode()
+
+
 def test_cli_compile_over_the_dump_cap_writes_no_file(tmp_path, monkeypatch):
     # the dump is encoded before --out is opened
     monkeypatch.setattr(circuits, "MAX_DUMP_ENTRIES", 1000)
@@ -1017,9 +1029,10 @@ def test_cli_validate_stdout_digest(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("word", ["2", "000"])
 def test_bad_input_word_reads_the_same_in_every_command(word, capsys):
-    # flip has one tape cell and the alphabet 0 1; every command refuses the
-    # word with the machine's own check, so only the stage tag differs
-    messages = set()
+    # flip has one tape cell and the alphabet 0 1; every command runs the
+    # machine on the word in the same ground-truth stage, so the whole line,
+    # tag included, is the same
+    lines = set()
     for argv in (
         ["orbit", FLIP],
         ["sample", FLIP],
@@ -1028,9 +1041,61 @@ def test_bad_input_word_reads_the_same_in_every_command(word, capsys):
     ):
         assert cli_dispatch([*argv, "--input", word]) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("[")
-        messages.add(err.split("] ", 1)[1])
-    assert len(messages) == 1
+        assert len(err.splitlines()) == 1 and err.startswith("[ground-truth] ")
+        lines.add(err)
+    assert len(lines) == 1
+
+
+LOOP = (  # reversible, but p swaps the cell's symbol for ever and never halts
+    "states: p:rw h:final\nalphabet: 0 1\ninitial: p\ntape_cells: 1\n"
+    "transition: rw (p,0) -> (p,1)\ntransition: rw (p,1) -> (p,0)\n"
+)
+
+
+@pytest.mark.parametrize("command", ["orbit", "sample", "decide", "experiment"])
+def test_a_machine_that_does_not_halt_is_refused_by_every_command(command, tmp_path, capsys):
+    # its clock orbit exists (r_observed 32 against r_nominal 30), but
+    # certifies nothing: every command that takes an input stops at ground truth
+    path = tmp_path / "loop.rtm"
+    path.write_text(LOOP, encoding="utf-8")
+    argv = [command, *(["--spec"] if command == "experiment" else []), str(path), "--input", "0"]
+    assert cli_dispatch(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "[ground-truth] machine did not halt within 64 steps; cannot certify\n"
+
+
+def test_clock_machine_certifies_exactly_the_runs_that_halt(tmp_path):
+    # over generated machines with m <= 6: ground truth refuses a run exactly
+    # when it does not halt within 4 * 2**(m+1) steps, and every run it
+    # certifies has d = s*r*(1+f)
+    rng, path, seen = random.Random(23), tmp_path / "machine.rtm", Counter()
+    while sum(seen.values()) < 40:
+        spec = random_machine(rng)
+        m = circuits.state_bits(spec)
+        if m > 6:
+            continue
+        path.write_text(spec_text(spec), encoding="utf-8")
+        word = "".join(rng.choice(spec.alphabet) for _ in range(spec.tape_cells))
+        try:
+            outcome = clock_machine(path, word, merge_cells=rng.random() < 0.5)
+        except StageError as exc:
+            if exc.stage in ("validate", "compile"):
+                continue  # not reversible, or an initial state V cannot hold
+            outcome = exc
+        budget = 4 * 2 ** (m + 1)
+        truth = rtm.run_machine(spec, word, max_steps=budget)
+        if truth.halted:
+            _, got, clocked = outcome
+            assert got == truth and clocked.circuit.layout.m == m
+            d, s = clocked.orbit.dimension, clocked.circuit.s
+            assert d == s * clocked.r_nominal * (1 + truth.f_of_x), spec_text(spec)
+        else:
+            assert str(outcome) == (
+                f"[ground-truth] machine did not halt within {budget} steps; cannot certify"
+            )
+        seen[truth.halted] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_run_experiment_builds_the_wrapper_once(tmp_path, monkeypatch):
