@@ -9,11 +9,11 @@ performs the current state's transition (a move immediately followed by a
 rewrite is fused into the same application).
 
 ``build_wrapper_circuit`` builds the self-looping circuit V from the same
-list: U's maps controlled on the run mode, then the inverted maps in reverse
-order (U^-1) controlled on the unwind-run mode. V adds a one-bit
-``solution`` register, a four-valued ``operation_mode`` register and two
-width-(m+1) counters, where m is the bit size of the machine register space.
-The four modes are:
+list, each map evaluated once: its moved points at the run mode's digit, then
+in reverse order (U^-1) the same points sent back at the unwind-run digit. V
+adds a one-bit ``solution`` register, a four-valued ``operation_mode``
+register and two width-(m+1) counters, where m is the bit size of the machine
+register space. The four modes are:
 
     run (00)         apply U, count up
     pad (01)         count up, pad the pass out to counter = all-ones
@@ -29,11 +29,12 @@ Iterating V therefore returns every register to its initial value after
 2*(2**(m+1)-1) applications, except the solution bit which accumulates the
 machine's answer; a machine that accepts doubles the cycle.
 
-Each gate is a permutation table over the registers it reads, stored as the
-points it moves; the other registers on its wires ride along, and its
-wire-level table is computed on demand. With cell merging on (the default),
-the mode, head, index, accumulator, result cell and solution registers share
-a single qudit wire, so every emitted gate touches at most two wires.
+Each gate permutes the registers it reads, given and stored as the points it
+moves and their images, checked in O(k log k) for k points; the other
+registers on its wires ride along, and its wire-level table is computed on
+demand. With cell merging on (the default), the mode, head, index,
+accumulator, result cell and solution registers share a single qudit wire,
+so every emitted gate touches at most two wires.
 
 ``circuit_orbit_length`` walks whole passes of a circuit as straight-line
 code generated for its shape; ``PermGate.apply_values`` and
@@ -173,34 +174,29 @@ class PermGate:
     as the points it moves in a table over the fields it reads.
 
     A field is a ``(wire, stride, dim)`` triple naming the digit
-    ``values[wire] // stride % dim``. The ``table`` given, ``table[i] = j``,
-    maps the field digits packed as i (mixed radix over ``fields`` in order)
-    to those packed as j; every other digit of the support wires rides along
-    unchanged. Without ``fields`` each support wire is one whole field, so it
-    is the wire-level table. It must be a bijection. Only its moved
-    points are kept: ``moved``, the sorted i with ``table[i] != i``, and
-    ``image``, their images, both read-only in the smallest unsigned dtype
-    that holds the table.
+    ``values[wire] // stride % dim``. The gate sends the field digits packed
+    as ``moved[k]`` (mixed radix over ``fields`` in order) to those packed as
+    ``image[k]``; every other digit of the support wires rides along. ``moved``
+    must be strictly increasing inside the field space, and ``image`` an
+    integer permutation of it that fixes no point: checked in O(k log k) for
+    k points, and kept read-only in the smallest unsigned dtype that fits.
     """
 
     __slots__ = ("support", "dims", "fields", "moved", "image", "label")
 
-    def __init__(self, support, dims, table, label: str, fields=None) -> None:
+    def __init__(self, support, dims, fields, moved, image, label: str) -> None:
         support, dims = tuple(support), tuple(dims)
-        if fields is None:
-            fields = [(w, 1, d) for w, d in zip(support, dims)]
         fields = tuple(tuple(f) for f in fields)
-        table = np.asarray(table)
         size = math.prod(d for _, _, d in fields)
-        if len(table) != size:
-            raise PermutationError(f"gate {label}: table size {len(table)} != {size}")
-        # integers in range and every value hit: a bijection, checked in O(size)
-        if (table.dtype.kind not in "biu" or table.min() < 0 or table.max() >= size
-                or not np.bincount(table, minlength=size).all()):
-            raise PermutationError(f"gate {label}: table is not a bijection")
+        moved, image = np.asarray(moved), np.asarray(image)
+        # integer points, sorted and in range, each sent to another of them
+        if moved.ndim != 1 or moved.shape != image.shape or len(moved) and (
+                moved.dtype.kind not in "biu" or image.dtype.kind not in "biu"
+                or moved[0] < 0 or moved[-1] >= size or (image == moved).any()
+                or (moved[1:] <= moved[:-1]).any() or (np.sort(image) != moved).any()):
+            raise PermutationError(f"gate {label}: not a bijection of its moved points")
         dtype = np.min_scalar_type(size - 1)
-        moved = np.flatnonzero(table != np.arange(size))
-        moved, image = moved.astype(dtype), table[moved].astype(dtype)
+        moved, image = moved.astype(dtype), image.astype(dtype)
         moved.flags.writeable = image.flags.writeable = False
         # set past the read-only guard, which is for changes after construction
         for name, value in zip(self.__slots__, (support, dims, fields, moved, image, label)):
@@ -210,6 +206,17 @@ class PermGate:
         if hasattr(self, name):
             raise AttributeError(f"gate attribute {name} is read-only")
         object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_table(cls, support, dims, table, label: str, fields=None) -> PermGate:
+        """The gate sending packed index i to ``table[i]``, for a table over
+        all of ``fields``; without ``fields``, over whole support wires."""
+        fields = fields or [(w, 1, d) for w, d in zip(support, dims)]
+        table = np.asarray(table)
+        if table.shape != (math.prod(d for _, _, d in fields),):
+            raise PermutationError(f"gate {label}: table of shape {table.shape} does not fit")
+        moved = np.flatnonzero(table != np.arange(len(table)))
+        return cls(support, dims, fields, moved, table[moved], label)
 
     @property
     def table(self) -> np.ndarray:
@@ -387,23 +394,22 @@ def _register_table(
     stray = changes.keys() - env.keys()
     if stray:
         raise PermutationError(f"gate {label}: writes {sorted(stray)}, which it does not name")
-    env.update(changes)
     table = 0
     for r, d in zip(registers, dims):
-        value = np.asarray(env[r])
-        bad = (value < 0) | (value >= d)
-        if bad.any():
-            raise DimensionError(f"gate {label}: {r} = {value[bad][0]} is out of range")
+        value = env[r]
+        if r in changes:  # the registers it does not write are index arrays, in range
+            value = np.asarray(changes[r])
+            bad = (value < 0) | (value >= d)
+            if bad.any():
+                raise DimensionError(f"gate {label}: {r} = {value[bad][0]} is out of range")
         table = table * d + value
     return np.broadcast_to(table, dims).ravel()
 
 
-def _gate_from_table(
-    layout: RegisterLayout, registers: Sequence[str], table: np.ndarray, label: str
-) -> PermGate:
-    """The gate for a permutation table over ``registers`` (packed in the
-    order given). A register that sits just below the one before it on the
-    same wire is read as one field with it."""
+def _placement(layout: RegisterLayout, registers: Sequence[str]) -> tuple[tuple, list, list]:
+    """The support, its wire dims and the fields of a gate over ``registers``
+    packed in the order given. A register that sits just below the one before
+    it on the same wire is read as one field with it."""
     fields: list[tuple[int, int, int]] = []
     for w, stride, dim in map(layout.field, registers):
         if fields and fields[-1][:2] == (w, stride * dim):
@@ -411,7 +417,7 @@ def _gate_from_table(
         else:
             fields.append((w, stride, dim))
     support = tuple(sorted({w for w, _, _ in fields}))
-    return PermGate(support, [layout.wires[w].dimension for w in support], table, label, fields)
+    return support, [layout.wires[w].dimension for w in support], fields
 
 
 def lift_gate(
@@ -429,7 +435,8 @@ def lift_gate(
     untouched.
     """
     table = _register_table(layout, registers, fn, label)
-    return _gate_from_table(layout, registers, table, label)
+    support, dims, fields = _placement(layout, registers)
+    return PermGate.from_table(support, dims, table, label, fields)
 
 
 # ---------------------------------------------------------------------------
@@ -533,17 +540,6 @@ def build_step_circuit(spec: RtmSpec) -> Circuit:
 # ---------------------------------------------------------------------------
 # self-looping wrapper
 
-def _controlled_gate(
-    layout: RegisterLayout, mode_value: int, label: str, registers: tuple, table: np.ndarray
-) -> PermGate:
-    """The gate on (mode, registers) that applies ``table`` in one mode and
-    the identity in the others."""
-    n = len(table)
-    full = np.arange(4 * n)
-    full[mode_value * n:(mode_value + 1) * n] = table + mode_value * n
-    return _gate_from_table(layout, (R_MODE, *registers), full, label)
-
-
 def nominal_cycle_length(m: int) -> int:
     """Wrapper cycle length for a rejecting run: 2*(2**(m+1)-1)."""
     return 2 * (2 ** (m + 1) - 1)
@@ -619,16 +615,19 @@ def build_wrapper_circuit(spec: RtmSpec, merge_cells: bool = True) -> Circuit:
             f"over the compile cap {MAX_GATE_ENTRIES}"
         )
 
-    # the payload is U itself: its maps controlled on run, then U^-1 (each
-    # map's table inverted, in reverse order) controlled on unwind-run
-    tables = [(label, regs, _register_table(layout, regs, fn, label)) for label, regs, fn in maps]
-    gates = [
-        _controlled_gate(layout, MODE_RUN, f"run:{label}", regs, t) for label, regs, t in tables
-    ]
-    gates += [
-        _controlled_gate(layout, MODE_UNRUN, f"unrun:{label}", regs, np.argsort(t))
-        for label, regs, t in reversed(tables)
-    ]
+    # the payload is U itself: each map's moved points at the run digit, then
+    # U^-1 in reverse order at the unwind-run digit, the same points sent back
+    gates, undo = [], []
+    for label, regs, fn in maps:
+        table = _register_table(layout, regs, fn, label)
+        moved = np.flatnonzero(table != np.arange(len(table)))
+        image = table[moved]
+        back = moved[np.argsort(image)]  # where each moved point came from
+        run, unrun = MODE_RUN * len(table), MODE_UNRUN * len(table)
+        where = _placement(layout, (R_MODE, *regs))
+        gates.append(PermGate(*where, moved + run, image + run, f"run:{label}"))
+        undo.append(PermGate(*where, moved + unrun, back + unrun, f"unrun:{label}"))
+    gates += reversed(undo)
     gates += [lift_gate(layout, regs, fn, label) for label, regs, fn in bookkeeping]
     return Circuit(layout=layout, gates=tuple(gates))
 
@@ -781,5 +780,5 @@ def replay_dump(dump: dict, values: Sequence[int]) -> tuple[int, ...]:
         raise DimensionError(f"unknown dump format {dump.get('format')!r}")
     vals = list(values)
     for g in dump["gates"]:
-        PermGate(g["support"], g["dims"], np.asarray(g["table"]), g["label"]).apply_values(vals)
+        PermGate.from_table(g["support"], g["dims"], g["table"], g["label"]).apply_values(vals)
     return tuple(vals)

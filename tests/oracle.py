@@ -184,7 +184,8 @@ def apply_forward(op: ForwardOperator, state: ClockedState) -> ClockedState:
 @functools.lru_cache(maxsize=64)
 def _inverse_gate(gate: PermGate) -> PermGate:
     """The gate that undoes ``gate``: its table over its fields, inverted."""
-    return PermGate(gate.support, gate.dims, np.argsort(field_table(gate)), gate.label, gate.fields)
+    inverse = np.argsort(field_table(gate))
+    return PermGate.from_table(gate.support, gate.dims, inverse, gate.label, gate.fields)
 
 
 def apply_backward(op: ForwardOperator, state: ClockedState) -> ClockedState:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 import pytest
-from oracle import all_configs, field_table, orbit_length_by_steps, random_machine
+from oracle import all_configs, field_table, orbit_length_by_steps, random_machine, spec_text
 
 from clockobs import circuits, corpus, rtm
 from clockobs.circuits import (
@@ -109,11 +109,47 @@ def test_perm_gate_rejects_non_bijection(table):
     # a bad entry must not reach numpy as an index (IndexError), a count
     # (ValueError) or a cast (TypeError)
     with pytest.raises(PermutationError, match="not a bijection"):
-        PermGate(support=(0,), dims=(2,), table=table, label="bad")
+        PermGate.from_table(support=(0,), dims=(2,), table=table, label="bad")
+
+
+@pytest.mark.parametrize(
+    "moved, image",
+    [
+        ([2, 0], [0, 2]),
+        ([0, 0, 1, 1], [1, 1, 0, 0]),
+        ([1, 4], [4, 1]),
+        ([-1, 1], [1, -1]),
+        ([0, 1], [1, 2]),
+        ([0, 1, 2], [1, 0, 2]),
+        ([0, 1], [1.0, 0.0]),
+    ],
+    ids=["unsorted", "repeated", "outside", "negative", "onto-fixed-point", "fixed", "float"],
+)
+def test_perm_gate_rejects_moved_points_that_are_not_a_bijection(moved, image):
+    # checked on the points alone: sorted, in the 4-point field space, and
+    # each sent to another of them
+    with pytest.raises(PermutationError, match="not a bijection"):
+        PermGate((0,), (4,), [(0, 1, 4)], np.array(moved), np.array(image), "bad")
+
+
+def test_perm_gate_from_no_moved_points_is_the_identity():
+    gate = PermGate((0,), (4,), [(0, 1, 4)], [], [], "identity")
+    assert gate.table.tolist() == [0, 1, 2, 3]
+    assert gate.moved.dtype == gate.image.dtype == np.uint8
+
+
+def test_perm_gate_from_moved_points_equals_its_table_form():
+    # moved points 0 and 3 on the field at stride 2 of a 12-valued wire
+    by_points = PermGate((0,), (12,), [(0, 2, 6)], [0, 3], [3, 0], "points")
+    by_table = PermGate.from_table((0,), (12,), [3, 1, 2, 0, 4, 5], "table", [(0, 2, 6)])
+    assert by_points.moved.tolist() == by_table.moved.tolist() == [0, 3]
+    assert by_points.image.tolist() == by_table.image.tolist() == [3, 0]
+    assert np.array_equal(by_points.table, by_table.table)
+    _assert_table_matches_apply_values(by_points)
 
 
 def test_perm_gate_table_is_read_only():
-    gate = PermGate(support=(0,), dims=(2,), table=np.array([1, 0]), label="not")
+    gate = PermGate.from_table(support=(0,), dims=(2,), table=np.array([1, 0]), label="not")
     with pytest.raises(ValueError):
         gate.table[0] = 0
 
@@ -649,6 +685,39 @@ def test_orbit_walk_matches_stepping_oracle_on_generated_machines():
         compared += 1
 
 
+def test_wrapper_returns_every_register_but_the_answer_after_r_passes():
+    # over reversible generated machines that halt, with m <= 6, in both
+    # layouts: r = 2*(2**(m+1)-1) passes of V from the initial state bring
+    # every register back but solution, which then holds f(x), and both
+    # layouts walk the same orbit length
+    rng, checked = random.Random(31), 0
+    while checked < 40:
+        spec = random_machine(rng)
+        m = state_bits(spec)
+        if m > 6 or rtm.check_reversibility(spec).violations:
+            continue
+        word = [rng.choice(spec.alphabet) for _ in range(spec.tape_cells)]
+        truth = rtm.run_machine(spec, word, max_steps=4 * 2 ** (m + 1))
+        if not truth.halted:
+            continue
+        try:
+            layouts = [build_wrapper_circuit(spec, merge_cells=merged) for merged in (True, False)]
+        except PermutationError:
+            continue  # an initial state the step circuit cannot hold
+        lengths = set()
+        for circuit in layouts:
+            layout = circuit.layout
+            state = start = layout.initial_basis_state(word)
+            for _ in range(nominal_cycle_length(m)):
+                state = apply_circuit(circuit, state)
+            for register in layout.slots:
+                want = truth.f_of_x if register == R_SOLUTION else layout.get_register(start, register)
+                assert layout.get_register(state, register) == want, (spec_text(spec), register)
+            lengths.add(circuit_orbit_length(circuit, start))
+        assert len(lengths) == 1, spec_text(spec)
+        checked += 1
+
+
 def test_orbit_walk_matches_stepping_oracle_from_every_clock_position(monkeypatch):
     # merged flipwalk has 19 gates, more than the 16 walks the compile cache
     # holds, so every clock position must reuse the circuit's one walk; the
@@ -933,7 +1002,7 @@ def test_wire_table_matches_apply_values_with_riders_on_both_wires():
         rng.shuffle(fields)
         size = math.prod(d for _, _, d in fields)
         table = np.random.default_rng(rng.randrange(2**32)).permutation(size)
-        _assert_table_matches_apply_values(PermGate((0, 1), dims, table, "riders", fields))
+        _assert_table_matches_apply_values(PermGate.from_table((0, 1), dims, table, "riders", fields))
 
 
 def test_wire_table_matches_apply_values_with_several_fields_on_one_wire():
@@ -941,14 +1010,14 @@ def test_wire_table_matches_apply_values_with_several_fields_on_one_wire():
     # them; wire 2 (dim 10) holds one field at stride 2 above a rider
     fields = [(0, 6, 2), (2, 2, 5), (0, 1, 3)]
     table = np.random.default_rng(3).permutation(30)
-    gate = PermGate((0, 2), (12, 10), table, "hand-built", fields)
+    gate = PermGate.from_table((0, 2), (12, 10), table, "hand-built", fields)
     _assert_table_matches_apply_values(gate)
     assert not np.array_equal(gate.table, np.arange(120))
 
 
 def test_wire_table_of_a_gate_without_fields_is_the_table_given():
     table = np.random.default_rng(4).permutation(12)
-    gate = PermGate((1, 3), (3, 4), table, "whole wires")
+    gate = PermGate.from_table((1, 3), (3, 4), table, "whole wires")
     assert np.array_equal(gate.table, table)
     _assert_table_matches_apply_values(gate)
 
@@ -967,6 +1036,15 @@ def test_replay_dump_rejects_negative_table_entry():
     dump["gates"][0]["table"][0] = -1
     state = wrapper_layout(corpus.load("halt")).initial_basis_state("0")
     with pytest.raises(PermutationError, match="not a bijection"):
+        replay_dump(dump, state.values)
+
+
+def test_replay_dump_rejects_a_nested_table():
+    # a table must be one flat list over the gate's wires, not one list per entry
+    dump = dump_circuit(build_wrapper_circuit(corpus.load("halt")))
+    dump["gates"][0]["table"] = [[entry] for entry in dump["gates"][0]["table"]]
+    state = wrapper_layout(corpus.load("halt")).initial_basis_state("0")
+    with pytest.raises(PermutationError, match="does not fit"):
         replay_dump(dump, state.values)
 
 
