@@ -1,16 +1,17 @@
 """Reversible permutation-gate circuits compiled from machine specs.
 
-The single-step circuit U is defined once, as an ordered list of
-register-level maps: a move on (head, tape_index), a wall of index-controlled
-swaps that fetches the scanned cell into the accumulator, a rewrite on
-(head, accumulator), and the mirror wall that writes the cell back.
-``build_step_circuit`` lifts that list to gates. One application of U
+The single-step circuit U is defined once, as an ordered list of maps, each
+the registers it reads and the points of their values that it moves, listed
+directly: a move on (head, tape_index), a wall of index-controlled swaps that
+fetches the scanned cell into the accumulator, a rewrite on (head,
+accumulator), and the mirror wall that writes the cell back.
+``build_step_circuit`` places each map as a gate. One application of U
 performs the current state's transition (a move immediately followed by a
 rewrite is fused into the same application).
 
 ``build_wrapper_circuit`` builds the self-looping circuit V from the same
-list, each map evaluated once: its moved points at the run mode's digit, then
-in reverse order (U^-1) the same points sent back at the unwind-run digit. V
+list, each map's points built once: at the run mode's digit, then in reverse
+order (U^-1) the same points sent back at the unwind-run digit. V
 adds a one-bit ``solution`` register, a four-valued ``operation_mode``
 register and two width-(m+1) counters, where m is the bit size of the machine
 register space. The four modes are:
@@ -58,10 +59,11 @@ from .rtm import check_config_budget, initial_config
 
 MODE_RUN, MODE_PAD, MODE_UNPAD, MODE_UNRUN = 0, 1, 2, 3
 
-# Size caps. Lifting takes about 0.08 us per register-level entry; flip3, the
-# largest machine exercised, needs 0.1M, of which its gates keep the 6,244
-# they move (24.8 KB). `clockobs compile` writes its 5.5M merged wire-level
-# entries (37.8 MB) in about 0.12 s at a 114 MB peak RSS (2-vCPU Xeon).
+# Size caps. The compile cap counts the entries of the register grids V's
+# gates read, though only the points they move are built: flip3, the largest
+# machine exercised, reads 0.1M and builds 6,244 (24.8 KB) in under 2 ms.
+# `clockobs compile` writes its 5.5M merged wire-level entries (37.8 MB) in
+# about 0.12 s at a 114 MB peak RSS (2-vCPU Xeon).
 MAX_GATE_ENTRIES = 2_000_000
 MAX_DUMP_ENTRIES = 6_000_000
 
@@ -215,8 +217,7 @@ class PermGate:
         table = np.asarray(table)
         if table.shape != (math.prod(d for _, _, d in fields),):
             raise PermutationError(f"gate {label}: table of shape {table.shape} does not fit")
-        moved = np.flatnonzero(table != np.arange(len(table)))
-        return cls(support, dims, fields, moved, table[moved], label)
+        return cls(support, dims, fields, *_moved(table), label)
 
     @property
     def table(self) -> np.ndarray:
@@ -356,7 +357,7 @@ def wrapper_layout(spec: RtmSpec, merge_cells: bool = True) -> RegisterLayout:
 
 
 # ---------------------------------------------------------------------------
-# permutation completion and gate lifting
+# permutation completion and gate placement
 
 def complete_permutation(size: int, required: dict[int, int]) -> np.ndarray:
     """Extend a partial injective map on ``range(size)`` to a permutation array.
@@ -383,29 +384,6 @@ def complete_permutation(size: int, required: dict[int, int]) -> np.ndarray:
     return perm
 
 
-def _register_table(
-    layout: RegisterLayout, registers: Sequence[str], fn: Callable, label: str
-) -> np.ndarray:
-    """``fn`` evaluated once on every assignment of ``registers``, packed
-    mixed radix in the order given."""
-    dims = [layout.register_dim(r) for r in registers]
-    env = dict(zip(registers, np.indices(dims, sparse=True)))
-    changes = fn(dict(env)) or {}
-    stray = changes.keys() - env.keys()
-    if stray:
-        raise PermutationError(f"gate {label}: writes {sorted(stray)}, which it does not name")
-    table = 0
-    for r, d in zip(registers, dims):
-        value = env[r]
-        if r in changes:  # the registers it does not write are index arrays, in range
-            value = np.asarray(changes[r])
-            bad = (value < 0) | (value >= d)
-            if bad.any():
-                raise DimensionError(f"gate {label}: {r} = {value[bad][0]} is out of range")
-        table = table * d + value
-    return np.broadcast_to(table, dims).ravel()
-
-
 def _placement(layout: RegisterLayout, registers: Sequence[str]) -> tuple[tuple, list, list]:
     """The support, its wire dims and the fields of a gate over ``registers``
     packed in the order given. A register that sits just below the one before
@@ -420,88 +398,55 @@ def _placement(layout: RegisterLayout, registers: Sequence[str]) -> tuple[tuple,
     return support, [layout.wires[w].dimension for w in support], fields
 
 
-def lift_gate(
-    layout: RegisterLayout,
-    registers: Sequence[str],
-    fn: Callable[[dict[str, np.ndarray]], dict[str, np.ndarray] | None],
-    label: str,
-) -> PermGate:
-    """Materialize a register-level map as a permutation gate.
-
-    ``fn`` is called once, with one broadcast index array per register in
-    ``registers`` (``np.indices(..., sparse=True)`` over their dims), and
-    returns the changed registers as arrays broadcastable against those (or
-    None for identity). Other registers sharing their wires ride along
-    untouched.
-    """
-    table = _register_table(layout, registers, fn, label)
-    support, dims, fields = _placement(layout, registers)
-    return PermGate.from_table(support, dims, table, label, fields)
-
-
 # ---------------------------------------------------------------------------
-# the step circuit U as register-level maps
+# the step circuit U as maps
 
-def _moving_perm(spec: RtmSpec) -> np.ndarray:
-    """Permutation of (head, index) pairs, packed ``head * N + index``,
-    realizing the moving transitions.
+def _moved(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points a permutation array moves, and their images."""
+    moved = np.flatnonzero(perm != np.arange(len(perm)))
+    return moved, perm[moved]
 
-    Rule images take priority; states left untouched keep their identity when
-    no rule image collides with it, and the leftovers are matched canonically
-    so the table stays a bijection.
-    """
-    sidx, n = spec.state_index, spec.tape_cells
-    required = {
+
+def _cell_swap(cell: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """Swap the accumulator with tape cell ``cell`` when the index points at
+    it: (index, acc, cell) = (cell-1, x, y) <-> (cell-1, y, x) for x != y."""
+    xy = np.flatnonzero(~np.eye(a, dtype=bool))  # x * a + y, for x != y
+    base = (cell - 1) * a * a
+    return base + xy, base + xy % a * a + xy // a
+
+
+# A map is ``(label, registers read, points)``: ``points()`` returns the
+# points the map moves, strictly increasing, and their images, both packed
+# mixed radix over the registers in the order given. Its gate is
+# ``PermGate(*_placement(layout, registers), *points(), label)``.
+Map = tuple[str, tuple[str, ...], Callable[[], tuple[np.ndarray, np.ndarray]]]
+
+
+def _step_maps(spec: RtmSpec) -> list[Map]:
+    """U as an ordered list of maps: the move, the swap wall, the rewrite and
+    the mirror swap wall. The move and the rewrite move the points that the
+    machine's rules, completed to permutations, move; the completion runs
+    here, so an irreversible machine is refused before the compile cap."""
+    sidx, aidx = spec.state_index, spec.symbol_index
+    q, n, a = len(spec.states), spec.tape_cells, len(spec.alphabet)
+    moves = complete_permutation(q * n, {
         sidx[state] * n + i: sidx[rule.target] * n + (i + rule.direction) % n
         for state, rule in spec.moving_rules.items()
         for i in range(n)
-    }
-    return complete_permutation(len(spec.states) * n, required)
-
-
-def _rw_perm(spec: RtmSpec) -> np.ndarray:
-    """Permutation of (head, acc) pairs, packed ``head * |alphabet| + acc``,
-    realizing the read-write transitions."""
-    sidx, aidx, a = spec.state_index, spec.symbol_index, len(spec.alphabet)
-    required = {
+    })
+    rewrites = complete_permutation(q * a, {
         sidx[r.source] * a + aidx[r.read]: sidx[r.target] * a + aidx[r.write]
         for r in spec.rw_rules.values()
-    }
-    return complete_permutation(len(spec.states) * a, required)
+    })
 
-
-def _pair_fn(first: str, second: str, perm: np.ndarray, dim: int) -> Callable:
-    """Apply ``perm`` to (first, second) packed as ``first * dim + second``."""
-    pair = (first, second)
-    return lambda env: dict(zip(pair, np.divmod(perm[env[first] * dim + env[second]], dim)))
-
-
-def _wall_fn(cell: int) -> Callable:
-    """Swap the accumulator with tape cell ``cell`` when the index points at it."""
-    reg = tape_register(cell)
-
-    def fn(env):
-        here, acc, value = env[R_INDEX] == cell - 1, env[R_ACC], env[reg]
-        return {R_ACC: np.where(here, value, acc), reg: np.where(here, acc, value)}
-
-    return fn
-
-
-def _step_maps(spec: RtmSpec) -> list[tuple[str, tuple[str, ...], Callable]]:
-    """U as an ordered list of ``(label, registers read, fn)``: the move, the
-    swap wall, the rewrite and the mirror swap wall. ``fn`` takes index arrays
-    over the registers it reads and returns the changed ones, as
-    ``lift_gate`` describes."""
-
-    def wall(tag: str) -> list[tuple[str, tuple[str, ...], Callable]]:
+    def wall(tag: str) -> list[Map]:
         return [
-            (f"{tag}[{i}]", (R_INDEX, R_ACC, tape_register(i)), _wall_fn(i))
-            for i in range(1, spec.tape_cells + 1)
+            (f"{tag}[{i}]", (R_INDEX, R_ACC, tape_register(i)), functools.partial(_cell_swap, i, a))
+            for i in range(1, n + 1)
         ]
 
-    n, a = spec.tape_cells, len(spec.alphabet)
-    move = ("move", (R_HEAD, R_INDEX), _pair_fn(R_HEAD, R_INDEX, _moving_perm(spec), n))
-    rewrite = ("rewrite", (R_HEAD, R_ACC), _pair_fn(R_HEAD, R_ACC, _rw_perm(spec), a))
+    move = ("move", (R_HEAD, R_INDEX), functools.partial(_moved, moves))
+    rewrite = ("rewrite", (R_HEAD, R_ACC), functools.partial(_moved, rewrites))
     return [move] + wall("swap") + [rewrite] + wall("swap2")
 
 
@@ -510,21 +455,15 @@ def _guard_initial_state(spec: RtmSpec) -> None:
     rule lands on it (rule images occupy those table slots). The initial
     state sits at an application boundary, so reject machines whose initial
     state the circuit could not keep faithful."""
-    init = spec.initial_state
-    kind = spec.kind(init)
+    init, kind = spec.initial_state, spec.kind(spec.initial_state)
     if kind in (StateKind.MOVE_RIGHT, StateKind.MOVE_LEFT):
         return
+    held = "the step circuit cannot hold it fixed at an application boundary"
     if any(r.target == init for r in spec.moving_rules.values()):
+        raise PermutationError(f"initial state {init!r} is the target of a moving rule; {held}")
+    if kind is StateKind.FINAL and any(r.target == init for r in spec.rw_rules.values()):
         raise PermutationError(
-            f"initial state {init!r} is the target of a moving rule; "
-            "the step circuit cannot hold it fixed at an application boundary"
-        )
-    if kind is StateKind.FINAL and any(
-        r.target == init for r in spec.rw_rules.values()
-    ):
-        raise PermutationError(
-            f"initial final state {init!r} is the target of a read-write rule; "
-            "the step circuit cannot hold it fixed at an application boundary"
+            f"initial final state {init!r} is the target of a read-write rule; {held}"
         )
 
 
@@ -533,7 +472,8 @@ def build_step_circuit(spec: RtmSpec) -> Circuit:
     move that lands on a read-write state performs both in one application)."""
     _guard_initial_state(spec)
     layout = machine_layout(spec)
-    gates = (lift_gate(layout, regs, fn, label) for label, regs, fn in _step_maps(spec))
+    gates = (PermGate(*_placement(layout, regs), *points(), label)
+             for label, regs, points in _step_maps(spec))
     return Circuit(layout=layout, gates=tuple(gates))
 
 
@@ -545,50 +485,53 @@ def nominal_cycle_length(m: int) -> int:
     return 2 * (2 ** (m + 1) - 1)
 
 
-def _bookkeeping_maps(layout: RegisterLayout) -> list[tuple[str, tuple, Callable]]:
-    """V's counters, answer copy and mode changes as ``(label, registers read,
-    fn)``, each ``fn`` on index arrays as ``lift_gate`` describes."""
+def _count_points(steps: dict[int, int], size: int) -> tuple[np.ndarray, np.ndarray]:
+    """A counter below ``size`` read after the mode, packed
+    ``mode * size + count``, stepped by ``steps[mode]`` modulo ``size``."""
+    count = np.arange(size)
+    modes = sorted(steps)
+    return (np.concatenate([mode * size + count for mode in modes]),
+            np.concatenate([mode * size + (count + steps[mode]) % size for mode in modes]))
+
+
+def _swap_points(a: int, b: int, rest: list[int], size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Modes ``a`` and ``b`` exchanged where the registers read after the
+    mode, packed below ``size``, hold one of the increasing values ``rest``."""
+    lo, hi = sorted((a, b))
+    rest = np.asarray(rest, dtype=np.int64)
+    return (np.concatenate([lo * size + rest, hi * size + rest]),
+            np.concatenate([hi * size + rest, lo * size + rest]))
+
+
+def _bookkeeping_maps(layout: RegisterLayout) -> list[Map]:
+    """V's counters, answer copy and mode changes as maps. The counters move
+    all 2**(m+3) of their points, so no points are built until ``points()``
+    is called, after the compile cap."""
     spec, cmax, csize = layout.spec, layout.counter_max, layout.counter_size
-    is_final = np.zeros(len(spec.states), bool)
-    is_final[[spec.state_index[s] for s in spec.final_states]] = True
-    accept = spec.symbol_index.get(ACCEPT_SYMBOL, -1)
-    rc_reg = tape_register(spec.result_cell)
-
-    # counter: up in run/pad, down in unwind modes
-    def counter_fn(env):
-        step = np.where((env[R_MODE] == MODE_RUN) | (env[R_MODE] == MODE_PAD), 1, -1)
-        return {R_COUNTER: (env[R_COUNTER] + step) % csize}
-
-    # idle counter: up in pad, down in unwind-pad, held elsewhere. The
-    # unwind-run mode must hold it (not decrement) or the next pass would
-    # start with a nonzero idle counter and never leave run mode.
-    def idle_fn(env):
-        step = np.where(env[R_MODE] == MODE_PAD, 1, 0) - (env[R_MODE] == MODE_UNPAD)
-        return {R_IDLE: (env[R_IDLE] + step) % csize}
-
-    # copy the answer: flip solution once per pass
-    def solution_fn(env):
-        flip = (env[R_MODE] == MODE_PAD) & (env[R_COUNTER] == cmax) & (env[rc_reg] == accept)
-        return {R_SOLUTION: env[R_SOLUTION] ^ flip}
-
+    # copy the answer: flip solution once per pass, in pad at counter
+    # all-ones when the result cell holds the accept symbol (if there is one)
+    accept = spec.symbol_index.get(ACCEPT_SYMBOL)
+    flip = np.arange(0 if accept is None else 2)
+    at = ((MODE_PAD * csize + cmax) * len(spec.alphabet) + (accept or 0)) * 2
     # mode changes as controlled swaps; this order lets a pass close even
-    # when the initial state is already final
-    def swap_modes(a, b, cond):
-        def fn(env):
-            mode = env[R_MODE]
-            return {R_MODE: np.where(cond(env) & ((mode == a) | (mode == b)), a + b - mode, mode)}
-
-        return fn
-
-    halted = lambda env: (env[R_IDLE] == 0) & is_final[env[R_HEAD]]  # noqa: E731
-    at_top = lambda env: env[R_COUNTER] == cmax  # noqa: E731
-    at_zero = lambda env: env[R_COUNTER] == 0  # noqa: E731
+    # when the initial state is already final. Each condition is the packed
+    # values of the registers after the mode where the swap fires, and the
+    # size they pack into: halted is idle = 0 with a final head
+    halted = (sorted(spec.state_index[s] for s in spec.final_states), csize * len(spec.states))
+    at_top, at_zero = ([cmax], csize), ([0], csize)
     return [
-        ("counter", (R_MODE, R_COUNTER), counter_fn),
-        ("idle", (R_MODE, R_IDLE), idle_fn),
-        ("answer", (R_MODE, R_COUNTER, rc_reg, R_SOLUTION), solution_fn),
+        # counter: up in run/pad, down in unwind modes
+        ("counter", (R_MODE, R_COUNTER), functools.partial(
+            _count_points, {MODE_RUN: 1, MODE_PAD: 1, MODE_UNPAD: -1, MODE_UNRUN: -1}, csize)),
+        # idle counter: up in pad, down in unwind-pad, held elsewhere. The
+        # unwind-run mode must hold it (not decrement) or the next pass would
+        # start with a nonzero idle counter and never leave run mode.
+        ("idle", (R_MODE, R_IDLE), functools.partial(
+            _count_points, {MODE_PAD: 1, MODE_UNPAD: -1}, csize)),
+        ("answer", (R_MODE, R_COUNTER, tape_register(spec.result_cell), R_SOLUTION),
+         lambda: (at + flip, at + flip[::-1])),
     ] + [
-        (label, registers, swap_modes(a, b, cond))
+        (label, registers, functools.partial(_swap_points, a, b, *cond))
         for a, b, registers, cond, label in (
             (MODE_RUN, MODE_PAD, (R_MODE, R_IDLE, R_HEAD), halted, "mode:run<->pad"),
             (MODE_PAD, MODE_UNPAD, (R_MODE, R_COUNTER), at_top, "mode:pad<->unpad"),
@@ -601,8 +544,9 @@ def _bookkeeping_maps(layout: RegisterLayout) -> list[tuple[str, tuple, Callable
 def build_wrapper_circuit(spec: RtmSpec, merge_cells: bool = True) -> Circuit:
     """The self-looping circuit V (see the module docstring for the mode
     rules and gate ordering). Raises ``BudgetExceededError`` before any wire
-    is built when the machine is over ``rtm.MAX_CONFIG_BITS``, and before
-    lifting when its register-level tables would exceed ``MAX_GATE_ENTRIES``."""
+    is built when the machine is over ``rtm.MAX_CONFIG_BITS``, and before any
+    gate's points are built when the grids its gates read would exceed
+    ``MAX_GATE_ENTRIES``."""
     _guard_initial_state(spec)
     layout = wrapper_layout(spec, merge_cells=merge_cells)
     maps = _step_maps(spec)
@@ -618,17 +562,17 @@ def build_wrapper_circuit(spec: RtmSpec, merge_cells: bool = True) -> Circuit:
     # the payload is U itself: each map's moved points at the run digit, then
     # U^-1 in reverse order at the unwind-run digit, the same points sent back
     gates, undo = [], []
-    for label, regs, fn in maps:
-        table = _register_table(layout, regs, fn, label)
-        moved = np.flatnonzero(table != np.arange(len(table)))
-        image = table[moved]
+    for label, regs, points in maps:
+        moved, image = points()
         back = moved[np.argsort(image)]  # where each moved point came from
-        run, unrun = MODE_RUN * len(table), MODE_UNRUN * len(table)
+        size = math.prod(map(layout.register_dim, regs))
+        run, unrun = MODE_RUN * size, MODE_UNRUN * size
         where = _placement(layout, (R_MODE, *regs))
         gates.append(PermGate(*where, moved + run, image + run, f"run:{label}"))
         undo.append(PermGate(*where, moved + unrun, back + unrun, f"unrun:{label}"))
     gates += reversed(undo)
-    gates += [lift_gate(layout, regs, fn, label) for label, regs, fn in bookkeeping]
+    gates += [PermGate(*_placement(layout, regs), *points(), label)
+              for label, regs, points in bookkeeping]
     return Circuit(layout=layout, gates=tuple(gates))
 
 

@@ -218,13 +218,16 @@ def parse_rtm_spec(text: str, name: str = "<string>") -> RtmSpec:
         rest = rest.strip()
 
         if key == "states":
-            for tok in rest.split():
+            # each token with its own 1-based column in the raw line
+            start = raw.index(":") + 1
+            for found in re.finditer(r"\S+", raw.split("#", 1)[0][start:]):
+                tok = found.group()
                 m = _STATE_TOKEN.match(tok)
                 if not m:
                     raise SpecParseError(
                         f"bad state declaration {tok!r} (want id:rw|right|left|final)",
                         lineno,
-                        raw.find(tok) + 1,
+                        start + found.start() + 1,
                     )
                 sid, kind = m.group(1), StateKind(m.group(2))
                 if sid in states:

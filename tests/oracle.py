@@ -14,6 +14,12 @@ gate's inverted table, and ``orbit_length_by_steps`` walks passes one
 ``PermGate.apply_values`` at a time.
 ``PermGate`` keeps only the points its table moves; ``field_table``
 rebuilds the whole table over its fields from them.
+``circuits.build_step_circuit`` and ``build_wrapper_circuit`` enumerate the
+points each gate moves; ``dense_step_circuit`` and ``dense_wrapper_circuit``
+build the same gates the dense way, each register-level map evaluated by
+``lift_gate`` on the whole grid of the registers it reads and every entry
+it leaves in place dropped. ``least_seen_run`` picks a machine's input word
+so that a property sees every outcome (accept, reject, no halt).
 ``clock.spectral_model`` gives the d-cycle's spectrum in closed form;
 ``dense_orbit_oracle`` recomputes it numerically from the d x d matrix, as
 the independent check of that formula. ``harness.write_samples_csv`` writes
@@ -29,22 +35,48 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections import Counter
 from itertools import product
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from clockobs.circuits import BasisState, Circuit, PermGate
+from clockobs.circuits import (
+    MODE_PAD,
+    MODE_RUN,
+    MODE_UNPAD,
+    MODE_UNRUN,
+    R_ACC,
+    R_COUNTER,
+    R_HEAD,
+    R_IDLE,
+    R_INDEX,
+    R_MODE,
+    R_SOLUTION,
+    BasisState,
+    Circuit,
+    PermGate,
+    RegisterLayout,
+    _guard_initial_state,
+    _placement,
+    complete_permutation,
+    machine_layout,
+    tape_register,
+    wrapper_layout,
+)
 from clockobs.clock import ClockedState, ForwardOperator, SpectralModel, cycle_eigenvalue
-from clockobs.errors import BudgetExceededError, MachineStepError
+from clockobs.errors import BudgetExceededError, DimensionError, MachineStepError, PermutationError
 from clockobs.metrology import AccuracyModel, SampleBatch, filter_round
 from clockobs.rtm import (
+    ACCEPT_SYMBOL,
     MachineConfig,
     MovingRule,
     ReadWriteRule,
     RtmSpec,
+    RunResult,
     StateKind,
     Transition,
+    run_machine,
     step_machine,
 )
 
@@ -143,6 +175,22 @@ def random_machine(rng: random.Random) -> RtmSpec:
     )
 
 
+def least_seen_run(
+    spec: RtmSpec, max_steps: int, seen: Counter, outcomes: tuple
+) -> tuple[str, RunResult] | None:
+    """The input word of length ``tape_cells``, and its run, whose outcome
+    (f(x), or None for a run that does not halt within ``max_steps``) is one
+    of ``outcomes`` and has the fewest ``seen`` so far; the first such word
+    wins. None when no word's run ends in one of ``outcomes``. The spec must
+    be reversible, so that every step is defined."""
+    runs: dict = {}
+    for word in product(spec.alphabet, repeat=spec.tape_cells):
+        truth = run_machine(spec, word, max_steps=max_steps)
+        runs.setdefault(truth.f_of_x if truth.halted else None, ("".join(word), truth))
+    found = [k for k in outcomes if k in runs]
+    return runs[min(found, key=lambda k: seen[k])] if found else None
+
+
 def spec_text(spec: RtmSpec) -> str:
     """``spec`` in the ``.rtm`` format, which ``rtm.parse_rtm_spec`` reads back
     to the same machine."""
@@ -169,6 +217,191 @@ def field_table(gate: PermGate) -> np.ndarray:
     table = np.arange(math.prod(d for _, _, d in gate.fields), dtype=gate.moved.dtype)
     table[gate.moved] = gate.image
     return table
+
+
+def _register_table(
+    layout: RegisterLayout, registers: Sequence[str], fn: Callable, label: str
+) -> np.ndarray:
+    """``fn`` evaluated once on every assignment of ``registers``, packed
+    mixed radix in the order given."""
+    dims = [layout.register_dim(r) for r in registers]
+    env = dict(zip(registers, np.indices(dims, sparse=True)))
+    changes = fn(dict(env)) or {}
+    stray = changes.keys() - env.keys()
+    if stray:
+        raise PermutationError(f"gate {label}: writes {sorted(stray)}, which it does not name")
+    table = 0
+    for r, d in zip(registers, dims):
+        value = env[r]
+        if r in changes:  # the registers it does not write are index arrays, in range
+            value = np.asarray(changes[r])
+            bad = (value < 0) | (value >= d)
+            if bad.any():
+                raise DimensionError(f"gate {label}: {r} = {value[bad][0]} is out of range")
+        table = table * d + value
+    return np.broadcast_to(table, dims).ravel()
+
+
+def lift_gate(
+    layout: RegisterLayout,
+    registers: Sequence[str],
+    fn: Callable[[dict[str, np.ndarray]], dict[str, np.ndarray] | None],
+    label: str,
+) -> PermGate:
+    """Materialize a register-level map as a permutation gate, densely.
+
+    ``fn`` is called once, with one broadcast index array per register in
+    ``registers`` (``np.indices(..., sparse=True)`` over their dims), and
+    returns the changed registers as arrays broadcastable against those (or
+    None for identity). Other registers sharing their wires ride along
+    untouched.
+    """
+    table = _register_table(layout, registers, fn, label)
+    support, dims, fields = _placement(layout, registers)
+    return PermGate.from_table(support, dims, table, label, fields)
+
+
+def _moving_perm(spec: RtmSpec) -> np.ndarray:
+    """Permutation of (head, index) pairs, packed ``head * N + index``,
+    realizing the moving transitions."""
+    sidx, n = spec.state_index, spec.tape_cells
+    required = {
+        sidx[state] * n + i: sidx[rule.target] * n + (i + rule.direction) % n
+        for state, rule in spec.moving_rules.items()
+        for i in range(n)
+    }
+    return complete_permutation(len(spec.states) * n, required)
+
+
+def _rw_perm(spec: RtmSpec) -> np.ndarray:
+    """Permutation of (head, acc) pairs, packed ``head * |alphabet| + acc``,
+    realizing the read-write transitions."""
+    sidx, aidx, a = spec.state_index, spec.symbol_index, len(spec.alphabet)
+    required = {
+        sidx[r.source] * a + aidx[r.read]: sidx[r.target] * a + aidx[r.write]
+        for r in spec.rw_rules.values()
+    }
+    return complete_permutation(len(spec.states) * a, required)
+
+
+def _pair_fn(first: str, second: str, perm: np.ndarray, dim: int) -> Callable:
+    """Apply ``perm`` to (first, second) packed as ``first * dim + second``."""
+    pair = (first, second)
+    return lambda env: dict(zip(pair, np.divmod(perm[env[first] * dim + env[second]], dim)))
+
+
+def _wall_fn(cell: int) -> Callable:
+    """Swap the accumulator with tape cell ``cell`` when the index points at it."""
+    reg = tape_register(cell)
+
+    def fn(env):
+        here, acc, value = env[R_INDEX] == cell - 1, env[R_ACC], env[reg]
+        return {R_ACC: np.where(here, value, acc), reg: np.where(here, acc, value)}
+
+    return fn
+
+
+def dense_step_maps(spec: RtmSpec) -> list[tuple[str, tuple[str, ...], Callable]]:
+    """U as an ordered list of ``(label, registers read, fn)``: the move, the
+    swap wall, the rewrite and the mirror swap wall, each ``fn`` on index
+    arrays as ``lift_gate`` describes."""
+
+    def wall(tag: str) -> list[tuple[str, tuple[str, ...], Callable]]:
+        return [
+            (f"{tag}[{i}]", (R_INDEX, R_ACC, tape_register(i)), _wall_fn(i))
+            for i in range(1, spec.tape_cells + 1)
+        ]
+
+    n, a = spec.tape_cells, len(spec.alphabet)
+    move = ("move", (R_HEAD, R_INDEX), _pair_fn(R_HEAD, R_INDEX, _moving_perm(spec), n))
+    rewrite = ("rewrite", (R_HEAD, R_ACC), _pair_fn(R_HEAD, R_ACC, _rw_perm(spec), a))
+    return [move] + wall("swap") + [rewrite] + wall("swap2")
+
+
+def dense_bookkeeping_maps(layout: RegisterLayout) -> list[tuple[str, tuple, Callable]]:
+    """V's counters, answer copy and mode changes as ``(label, registers read,
+    fn)``, each ``fn`` on index arrays as ``lift_gate`` describes."""
+    spec, cmax, csize = layout.spec, layout.counter_max, layout.counter_size
+    is_final = np.zeros(len(spec.states), bool)
+    is_final[[spec.state_index[s] for s in spec.final_states]] = True
+    accept = spec.symbol_index.get(ACCEPT_SYMBOL, -1)
+    rc_reg = tape_register(spec.result_cell)
+
+    # counter: up in run/pad, down in unwind modes
+    def counter_fn(env):
+        step = np.where((env[R_MODE] == MODE_RUN) | (env[R_MODE] == MODE_PAD), 1, -1)
+        return {R_COUNTER: (env[R_COUNTER] + step) % csize}
+
+    # idle counter: up in pad, down in unwind-pad, held elsewhere
+    def idle_fn(env):
+        step = np.where(env[R_MODE] == MODE_PAD, 1, 0) - (env[R_MODE] == MODE_UNPAD)
+        return {R_IDLE: (env[R_IDLE] + step) % csize}
+
+    # copy the answer: flip solution once per pass
+    def solution_fn(env):
+        flip = (env[R_MODE] == MODE_PAD) & (env[R_COUNTER] == cmax) & (env[rc_reg] == accept)
+        return {R_SOLUTION: env[R_SOLUTION] ^ flip}
+
+    def swap_modes(a, b, cond):
+        def fn(env):
+            mode = env[R_MODE]
+            return {R_MODE: np.where(cond(env) & ((mode == a) | (mode == b)), a + b - mode, mode)}
+
+        return fn
+
+    halted = lambda env: (env[R_IDLE] == 0) & is_final[env[R_HEAD]]  # noqa: E731
+    at_top = lambda env: env[R_COUNTER] == cmax  # noqa: E731
+    at_zero = lambda env: env[R_COUNTER] == 0  # noqa: E731
+    return [
+        ("counter", (R_MODE, R_COUNTER), counter_fn),
+        ("idle", (R_MODE, R_IDLE), idle_fn),
+        ("answer", (R_MODE, R_COUNTER, rc_reg, R_SOLUTION), solution_fn),
+    ] + [
+        (label, registers, swap_modes(a, b, cond))
+        for a, b, registers, cond, label in (
+            (MODE_RUN, MODE_PAD, (R_MODE, R_IDLE, R_HEAD), halted, "mode:run<->pad"),
+            (MODE_PAD, MODE_UNPAD, (R_MODE, R_COUNTER), at_top, "mode:pad<->unpad"),
+            (MODE_UNRUN, MODE_RUN, (R_MODE, R_COUNTER), at_zero, "mode:unrun<->run"),
+            (MODE_UNPAD, MODE_UNRUN, (R_MODE, R_IDLE, R_HEAD), halted, "mode:unpad<->unrun"),
+        )
+    ]
+
+
+def _lift_under_mode(layout: RegisterLayout, registers, fn: Callable, mode: int,
+                     invert: bool, label: str) -> PermGate:
+    """``fn`` (or its inverse, with ``invert``) lifted densely over the mode
+    register and ``registers``, acting where the mode reads ``mode``."""
+    table = _register_table(layout, registers, fn, label)
+    size = len(table)
+    full = np.arange(4 * size)
+    full[mode * size:(mode + 1) * size] = mode * size + (np.argsort(table) if invert else table)
+    support, dims, fields = _placement(layout, (R_MODE, *registers))
+    return PermGate.from_table(support, dims, full, label, fields)
+
+
+def dense_step_circuit(spec: RtmSpec) -> Circuit:
+    """``circuits.build_step_circuit`` with every gate lifted densely from
+    its register-level map."""
+    _guard_initial_state(spec)
+    layout = machine_layout(spec)
+    gates = (lift_gate(layout, regs, fn, label) for label, regs, fn in dense_step_maps(spec))
+    return Circuit(layout=layout, gates=tuple(gates))
+
+
+def dense_wrapper_circuit(spec: RtmSpec, merge_cells: bool = True) -> Circuit:
+    """``circuits.build_wrapper_circuit`` with every gate lifted densely: U's
+    maps under the run mode, their inverses in reverse order under the
+    unwind-run mode, then the bookkeeping maps. No compile cap."""
+    _guard_initial_state(spec)
+    layout = wrapper_layout(spec, merge_cells=merge_cells)
+    maps = dense_step_maps(spec)
+    gates = [
+        _lift_under_mode(layout, regs, fn, MODE_RUN, False, f"run:{label}") for label, regs, fn in maps
+    ] + [
+        _lift_under_mode(layout, regs, fn, MODE_UNRUN, True, f"unrun:{label}")
+        for label, regs, fn in reversed(maps)
+    ] + [lift_gate(layout, regs, fn, label) for label, regs, fn in dense_bookkeeping_maps(layout)]
+    return Circuit(layout=layout, gates=tuple(gates))
 
 
 def apply_forward(op: ForwardOperator, state: ClockedState) -> ClockedState:

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import json
@@ -11,7 +12,17 @@ from pathlib import Path
 import numpy as np
 import orjson
 import pytest
-from oracle import all_configs, field_table, orbit_length_by_steps, random_machine, spec_text
+from oracle import (
+    all_configs,
+    dense_step_circuit,
+    dense_wrapper_circuit,
+    field_table,
+    least_seen_run,
+    lift_gate,
+    orbit_length_by_steps,
+    random_machine,
+    spec_text,
+)
 
 from clockobs import circuits, corpus, rtm
 from clockobs.circuits import (
@@ -36,7 +47,6 @@ from clockobs.circuits import (
     complete_permutation,
     dump_circuit,
     dump_circuit_json,
-    lift_gate,
     machine_layout,
     nominal_cycle_length,
     replay_dump,
@@ -200,13 +210,14 @@ def test_lifted_gate_rides_along_registers_it_does_not_read():
 
 
 def test_wrapper_calls_each_map_once(monkeypatch):
-    calls = Counter()
+    # each map's points are built once: U's run and unwind-run gates share them
+    built = Counter()
 
     def counted(make_maps):
         def make(*args):
             return [
-                (label, regs, lambda env, label=label, fn=fn: calls.update([label]) or fn(env))
-                for label, regs, fn in make_maps(*args)
+                (label, regs, lambda label=label, points=points: built.update([label]) or points())
+                for label, regs, points in make_maps(*args)
             ]
 
         return make
@@ -215,10 +226,10 @@ def test_wrapper_calls_each_map_once(monkeypatch):
     monkeypatch.setattr(circuits, "_bookkeeping_maps", counted(circuits._bookkeeping_maps))
     spec = corpus.load("flipwalk")
     steps = [g.label for g in build_step_circuit(spec).gates]
-    calls.clear()
+    built.clear()
     circuit = build_wrapper_circuit(spec)
     bookkeeping = [g.label for g in circuit.gates[2 * len(steps):]]
-    assert calls == Counter(steps + bookkeeping)  # every label is distinct
+    assert built == Counter(steps + bookkeeping)  # every label is distinct
 
 
 # sha256 of every gate's (label, fields) and int64 field_table, from
@@ -250,6 +261,50 @@ def test_generated_machine_gate_tables_are_pinned():
     assert digest.hexdigest() == GENERATED_GATE_TABLES_SHA256
 
 
+def _builds_match_dense_lifting(spec) -> int:
+    """Every gate of U and of V in both layouts equals the oracle's dense
+    lifting of its register-level map, or both refuse the spec with the same
+    class and message; returns how many of the three builds were refused."""
+    refused = 0
+    builds = (
+        (build_step_circuit, dense_step_circuit),
+        *(
+            (functools.partial(build_wrapper_circuit, merge_cells=merged),
+             functools.partial(dense_wrapper_circuit, merge_cells=merged))
+            for merged in (True, False)
+        ),
+    )
+    for build, dense in builds:
+        try:
+            want = dense(spec)
+        except ClockObsError as exc:
+            with pytest.raises(type(exc)) as got:
+                build(spec)
+            assert str(got.value) == str(exc), spec_text(spec)
+            refused += 1
+            continue
+        got = build(spec)
+        assert len(got.gates) == len(want.gates), spec_text(spec)
+        for g, h in zip(got.gates, want.gates):
+            assert (g.label, g.support, g.dims, g.fields) == (h.label, h.support, h.dims, h.fields)
+            for a, b in ((g.moved, h.moved), (g.image, h.image)):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (g.label, spec_text(spec))
+    return refused
+
+
+def test_gates_from_moved_points_equal_the_dense_lifting():
+    for spec in [corpus.load(name) for name in corpus.machine_names()] + [_bench_flip3()]:
+        assert _builds_match_dense_lifting(spec) == 0, spec.name
+    # generated machines: 150 reversible draws, and the draws that are not
+    # reversible, which the compile must refuse as the dense lifting did
+    rng, reversible, refused = random.Random(41), 0, 0
+    while reversible < 150:
+        spec = random_machine(rng)
+        refused += _builds_match_dense_lifting(spec)
+        reversible += not rtm.check_reversibility(spec).violations
+    assert refused >= 50, refused
+
+
 def test_merged_flipwalk_stores_a_small_fraction_of_its_wire_tables():
     circuit = build_wrapper_circuit(corpus.load("flipwalk"))
     wire_entries = sum(len(g.table) for g in circuit.gates)
@@ -266,8 +321,19 @@ def test_merged_flipwalk_stores_a_small_fraction_of_its_wire_tables():
 
 
 def test_wrapper_over_the_compile_cap_fails_before_lifting(monkeypatch):
+    # no map's points and no gate may be built before the cap is checked
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the compile cap")
+
+    def unbuilt(make_maps):
+        return lambda *args: [(label, regs, refuse) for label, regs, _ in make_maps(*args)]
+
+    monkeypatch.setattr(circuits, "_step_maps", unbuilt(circuits._step_maps))
+    monkeypatch.setattr(circuits, "_bookkeeping_maps", unbuilt(circuits._bookkeeping_maps))
+    monkeypatch.setattr(circuits, "PermGate", refuse)
+    with pytest.raises(AssertionError, match="before the compile cap"):
+        build_wrapper_circuit(corpus.load("flip"))  # at the cap, it builds
     monkeypatch.setattr(circuits, "MAX_GATE_ENTRIES", 879)
-    monkeypatch.setattr(circuits, "_register_table", None)  # lifting would fail
     with pytest.raises(BudgetExceededError, match="needs 880 gate-table entries"):
         build_wrapper_circuit(corpus.load("flip"))
 
@@ -689,17 +755,20 @@ def test_wrapper_returns_every_register_but_the_answer_after_r_passes():
     # over reversible generated machines that halt, with m <= 6, in both
     # layouts: r = 2*(2**(m+1)-1) passes of V from the initial state bring
     # every register back but solution, which then holds f(x), and both
-    # layouts walk the same orbit length
-    rng, checked = random.Random(31), 0
-    while checked < 40:
+    # layouts walk the same orbit length. Each machine runs the input word
+    # whose answer has been checked least, so both answers are covered
+    rng, answers, drawn = random.Random(31), Counter(), 0
+    while sum(answers.values()) < 40 or min(answers[0], answers[1]) < 10:
+        drawn += 1
+        assert drawn <= 2000, answers
         spec = random_machine(rng)
         m = state_bits(spec)
         if m > 6 or rtm.check_reversibility(spec).violations:
             continue
-        word = [rng.choice(spec.alphabet) for _ in range(spec.tape_cells)]
-        truth = rtm.run_machine(spec, word, max_steps=4 * 2 ** (m + 1))
-        if not truth.halted:
-            continue
+        run = least_seen_run(spec, 4 * 2 ** (m + 1), answers, (0, 1))
+        if run is None:
+            continue  # no input word halts
+        word, truth = run
         try:
             layouts = [build_wrapper_circuit(spec, merge_cells=merged) for merged in (True, False)]
         except PermutationError:
@@ -715,7 +784,7 @@ def test_wrapper_returns_every_register_but_the_answer_after_r_passes():
                 assert layout.get_register(state, register) == want, (spec_text(spec), register)
             lengths.add(circuit_orbit_length(circuit, start))
         assert len(lengths) == 1, spec_text(spec)
-        checked += 1
+        answers[truth.f_of_x] += 1
 
 
 def test_orbit_walk_matches_stepping_oracle_from_every_clock_position(monkeypatch):

@@ -9,7 +9,6 @@ from clockobs.circuits import (
     Circuit,
     apply_circuit,
     build_wrapper_circuit,
-    lift_gate,
     machine_layout,
     nominal_cycle_length,
     tape_register,
@@ -22,7 +21,13 @@ from clockobs.clock import (
     spectral_model,
 )
 from clockobs.errors import BudgetExceededError, DimensionError
-from oracle import apply_backward, apply_forward, dense_orbit_oracle, expanded_eigenvalues
+from oracle import (
+    apply_backward,
+    apply_forward,
+    dense_orbit_oracle,
+    expanded_eigenvalues,
+    lift_gate,
+)
 
 
 def identity_op(n_gates=1):

@@ -45,7 +45,7 @@ from clockobs.metrology import (
     phase_estimate_distribution,
     sample_phase_estimate,
 )
-from oracle import random_machine, samples_csv_by_rows, spec_text
+from oracle import least_seen_run, random_machine, samples_csv_by_rows, spec_text
 from test_pinned_behaviour import WRAPPER_DUMPS
 
 FLIP = str(corpus.path("flip"))
@@ -1066,25 +1066,27 @@ def test_a_machine_that_does_not_halt_is_refused_by_every_command(command, tmp_p
 
 
 def test_clock_machine_certifies_exactly_the_runs_that_halt(tmp_path):
-    # over generated machines with m <= 6: ground truth refuses a run exactly
-    # when it does not halt within 4 * 2**(m+1) steps, and every run it
-    # certifies has d = s*r*(1+f)
-    rng, path, seen = random.Random(23), tmp_path / "machine.rtm", Counter()
-    while sum(seen.values()) < 40:
+    # over reversible generated machines with m <= 6: ground truth refuses a
+    # run exactly when it does not halt within 4 * 2**(m+1) steps, and every
+    # run it certifies has d = s*r*(1+f). Each machine runs the input word
+    # whose outcome (no halt, reject, accept) has been checked least
+    rng, path, seen, drawn = random.Random(23), tmp_path / "machine.rtm", Counter(), 0
+    while sum(seen.values()) < 40 or min(seen[k] for k in (None, 0, 1)) < 10:
+        drawn += 1
+        assert drawn <= 2000, seen
         spec = random_machine(rng)
         m = circuits.state_bits(spec)
-        if m > 6:
+        if m > 6 or rtm.check_reversibility(spec).violations:
             continue
+        budget = 4 * 2 ** (m + 1)
+        word, truth = least_seen_run(spec, budget, seen, (None, 0, 1))
         path.write_text(spec_text(spec), encoding="utf-8")
-        word = "".join(rng.choice(spec.alphabet) for _ in range(spec.tape_cells))
         try:
             outcome = clock_machine(path, word, merge_cells=rng.random() < 0.5)
         except StageError as exc:
-            if exc.stage in ("validate", "compile"):
-                continue  # not reversible, or an initial state V cannot hold
+            if exc.stage == "compile":
+                continue  # an initial state V cannot hold
             outcome = exc
-        budget = 4 * 2 ** (m + 1)
-        truth = rtm.run_machine(spec, word, max_steps=budget)
         if truth.halted:
             _, got, clocked = outcome
             assert got == truth and clocked.circuit.layout.m == m
@@ -1094,8 +1096,7 @@ def test_clock_machine_certifies_exactly_the_runs_that_halt(tmp_path):
             assert str(outcome) == (
                 f"[ground-truth] machine did not halt within {budget} steps; cannot certify"
             )
-        seen[truth.halted] += 1
-    assert min(seen.values()) >= 10, seen
+        seen[truth.f_of_x if truth.halted else None] += 1
 
 
 def test_run_experiment_builds_the_wrapper_once(tmp_path, monkeypatch):

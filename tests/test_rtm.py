@@ -113,6 +113,22 @@ def test_parse_error_carries_line_number():
         parse_rtm_spec(text)
 
 
+@pytest.mark.parametrize(
+    "line, token, column",
+    [
+        ("states: a:rw s:", "s:", 14),  # 's:' also occurs inside 'states:'
+        ("states: ab:rw b:", "b:", 15),  # 'b:' also occurs inside 'ab:rw'
+        ("  states:  h:final   x # y", "x", 22),
+    ],
+)
+def test_parse_error_points_at_the_bad_state_token(line, token, column):
+    with pytest.raises(SpecParseError) as err:
+        parse_rtm_spec(f"{line}\nalphabet: 0\ninitial: h\ntape_cells: 1")
+    assert str(err.value) == (
+        f"bad state declaration {token!r} (want id:rw|right|left|final) (line 1, column {column})"
+    )
+
+
 def test_result_cell_out_of_range():
     text = "states: h:final\nalphabet: 0\ninitial: h\ntape_cells: 1\nresult_cell: 4"
     with pytest.raises(SpecParseError, match="result_cell"):
