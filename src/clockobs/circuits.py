@@ -37,9 +37,11 @@ demand. With cell merging on (the default), the mode, head, index,
 accumulator, result cell and solution registers share a single qudit wire,
 so every emitted gate touches at most two wires.
 
-``circuit_orbit_length`` walks whole passes of a circuit as straight-line
-code generated for its shape; ``PermGate.apply_values`` and
-``apply_circuit`` apply one gate or one pass the plain way.
+``circuit_orbit_length`` walks whole passes of a circuit gate by gate
+(``PermGate.apply_values``; ``apply_circuit`` applies one pass). On V it adds
+each stretch of pad or unwind-pad passes that only step the two counters in
+one go, so its cost follows the run and unwind-run passes, not r. Compiles
+of one machine share their gates while any of them is alive (``_shared``).
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -184,7 +187,7 @@ class PermGate:
     k points, and kept read-only in the smallest unsigned dtype that fits.
     """
 
-    __slots__ = ("support", "dims", "fields", "moved", "image", "label")
+    __slots__ = ("support", "dims", "fields", "moved", "image", "label", "__weakref__")
 
     def __init__(self, support, dims, fields, moved, image, label: str) -> None:
         support, dims = tuple(support), tuple(dims)
@@ -262,6 +265,9 @@ class PermGate:
 class Circuit:
     layout: RegisterLayout
     gates: tuple[PermGate, ...]
+    # set by build_wrapper_circuit only, not by the constructor or replace():
+    # V's gates in V's order, whose counting passes circuit_orbit_length skips
+    wrapper: bool = field(default=False, init=False, compare=False)
 
     @property
     def s(self) -> int:
@@ -541,6 +547,50 @@ def _bookkeeping_maps(layout: RegisterLayout) -> list[Map]:
     ]
 
 
+def _counting_passes(layout: RegisterLayout) -> Callable[[list[int], tuple, int], int]:
+    """``skip(values, start, budget)`` for V over ``layout``: adds to
+    ``values`` the next passes that only count, at most ``budget`` and none
+    past where the counter meets ``start``'s, and returns how many. As in
+    ``_bookkeeping_maps``, U and U^-1 act in run and unwind-run mode only;
+    from counter c and idle counter i, the next min(cmax-1-c, cmax-i) passes
+    in pad mode add 1 to both, before the counter reaches all-ones (answer
+    copy, pad<->unpad) or the idle counter wraps to 0 (run<->pad), and the
+    next min(c, i-1) in unwind-pad mode subtract 1, before the counter wraps
+    to all-ones (pad<->unpad) or the idle counter reaches 0 (unpad<->unrun)."""
+    (wm, sm, dm), (wc, sc, dc), (wi, si, di) = map(layout.field, (R_MODE, R_COUNTER, R_IDLE))
+    cmax = layout.counter_max
+
+    def skip(values: list[int], start: tuple, budget: int) -> int:
+        mode, c, i = values[wm] // sm % dm, values[wc] // sc % dc, values[wi] // si % di
+        if mode == MODE_PAD:
+            step, passes = 1, min(cmax - 1 - c, cmax - i, budget)
+        elif mode == MODE_UNPAD:
+            step, passes = -1, min(c, i - 1, budget)
+        else:
+            return 0
+        back = (start[wc] // sc % dc - c) * step  # passes to the start's counter
+        passes = max(0, back if 0 < back < passes else passes)
+        values[wc] += step * passes * sc
+        values[wi] += step * passes * si
+        return passes
+
+    return skip
+
+
+# V's gates that are alive, by content. A gate cannot change, so an equal
+# live gate can stand for a new one; the table is weak, so it keeps no gate
+# alive, and it holds one small key per live gate. A caller that keeps the
+# circuit of every compile of one machine keeps one set of gates.
+_live_gates: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _shared(gate: PermGate) -> PermGate:
+    """The live gate equal to ``gate``, or ``gate`` itself."""
+    points = gate.moved.tobytes() + gate.image.tobytes()
+    alive = _live_gates.setdefault((gate.label, gate.support, gate.dims, gate.fields, hash(points)), gate)
+    return alive if alive.moved.tobytes() + alive.image.tobytes() == points else gate
+
+
 def build_wrapper_circuit(spec: RtmSpec, merge_cells: bool = True) -> Circuit:
     """The self-looping circuit V (see the module docstring for the mode
     rules and gate ordering). Raises ``BudgetExceededError`` before any wire
@@ -573,86 +623,35 @@ def build_wrapper_circuit(spec: RtmSpec, merge_cells: bool = True) -> Circuit:
     gates += reversed(undo)
     gates += [PermGate(*_placement(layout, regs), *points(), label)
               for label, regs, points in bookkeeping]
-    return Circuit(layout=layout, gates=tuple(gates))
-
-
-def _walk_shape(circuit: Circuit) -> tuple:
-    """All that ``_walk_source`` reads of a circuit: the wire dims and, per
-    gate, its fields and whether it moves any point."""
-    return circuit.layout.wire_dims(), tuple((g.fields, bool(len(g.moved))) for g in circuit.gates)
-
-
-def _walk_source(dims: tuple[int, ...], gates: tuple) -> str:
-    """Source of ``walk(max_steps, start, t0, t1, ...)`` for a circuit of
-    shape ``(dims, gates)`` (see ``_walk_shape``): whole passes of the
-    circuit over one local per wire, gate k looking its field index up in the
-    dict ``tk`` of moved points. Returns the first pass count that brings the
-    wires back to ``start``, or None after ``max_steps`` passes. Values must
-    be in range for their wires, so whole-wire digits need no ``%``."""
-    wires = ", ".join(f"v{w}" for w in range(len(dims))) + ","
-    tables = "".join(f", t{k}" for k in range(len(gates)))
-    lines = [
-        f"def walk(max_steps, start{tables}):",
-        f"    {wires} = start",
-        "    for step in range(1, max_steps + 1):",
-    ]
-
-    def digit(var: str, stride: int, dim: int, size: int) -> str:
-        """``var // stride % dim`` for a var below ``size``, without no-ops."""
-        text = var if stride == 1 else f"{var} // {stride}"
-        return text if stride * dim == size else f"{text} % {dim}"
-
-    for k, (fields, moves) in enumerate(gates):
-        if not moves:
-            continue  # the identity
-        size = math.prod(d for _, _, d in fields)
-        radix, index, write = size, [], []
-        for w, stride, dim in fields:
-            radix //= dim
-            index.append(digit(f"v{w}", stride, dim, dims[w]) + (f" * {radix}" if radix > 1 else ""))
-            new = digit("o", radix, dim, size)
-            if stride == 1 and dim == dims[w]:  # the field is the whole wire
-                write.append(f"v{w} = {new}")
-            else:
-                scale = f" * {stride}" if stride > 1 else ""
-                write.append(f"v{w} += ({new} - {digit('i', radix, dim, size)}){scale}")
-        lines += [
-            f"        i = {' + '.join(index)}",
-            f"        o = t{k}.get(i, i)",
-            "        if o != i:",
-            *(f"            {line}" for line in write),
-        ]
-    lines += [f"        if ({wires}) == start:", "            return step", "    return None"]
-    return "\n".join(lines) + "\n"
-
-
-# generating the source and exec() take longer than a whole walk on a small
-# machine, and both depend only on the circuit's shape, so repeat walks of one
-# shape reuse the function. Popped from its namespace and given the tables as
-# arguments, it is in no reference cycle, so an evicted walk is freed at once.
-@functools.lru_cache(maxsize=16)
-def _walk(shape: tuple) -> Callable:
-    namespace: dict = {}
-    exec(compile(_walk_source(*shape), "<circuit walk>", "exec"), namespace)
-    return namespace.pop("walk")
+    circuit = Circuit(layout=layout, gates=tuple(map(_shared, gates)))
+    object.__setattr__(circuit, "wrapper", True)
+    return circuit
 
 
 def circuit_orbit_length(
     circuit: Circuit, initial: BasisState, max_steps: int | None = None
 ) -> int:
-    """Smallest r >= 1 with circuit^r(initial) == initial, by traversal of
-    whole passes; ``max_steps`` bounds the passes. Each pass runs as generated
-    straight-line code (see ``_walk_source``)."""
+    """Smallest r >= 1 with circuit^r(initial) == initial, walking whole
+    passes gate by gate, except that on V the passes that only count are
+    added in one go (``_counting_passes``). ``max_steps`` bounds the passes."""
     if max_steps is None:
         max_steps = 16 * circuit.layout.counter_size + 16
-    start = tuple(_checked_values(circuit.layout, initial))
-    tables = [dict(zip(g.moved.tolist(), g.image.tolist())) for g in circuit.gates]
-    steps = _walk(_walk_shape(circuit))(max_steps, start, *tables)
-    if steps is None:
-        raise BudgetExceededError(
-            f"no recurrence within {max_steps} applications of the circuit"
-        )
-    return steps
+    values = _checked_values(circuit.layout, initial)
+    start = tuple(values)
+    skip = _counting_passes(circuit.layout) if circuit.wrapper else None
+    steps = 0
+    while steps < max_steps:
+        passes = skip(values, start, max_steps - steps) if skip else 0
+        if not passes:
+            for gate in circuit.gates:
+                gate.apply_values(values)
+            passes = 1
+        steps += passes
+        if tuple(values) == start:
+            return steps
+    raise BudgetExceededError(
+        f"no recurrence within {max_steps} applications of the circuit"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -76,10 +76,10 @@ def compute_orbit(
     steps, and s steps apply every gate once, from the gate under the clock
     round to the one before it: the circuit R rotated to start there. With S
     the gates from the clock's on, C^k(Sx) = S R^k(x), so d is s times the
-    orbit length of the circuit C itself through Sx, and every clock position
-    walks C's one compiled pass. ``max_steps`` bounds the forward steps,
-    counted in whole passes; without it ``circuit_orbit_length``'s pass
-    budget applies.
+    orbit length of the circuit C itself through Sx: every clock position
+    walks C, and on V skips the passes that only count. ``max_steps`` bounds
+    the forward steps, counted in whole passes; without it
+    ``circuit_orbit_length``'s pass budget applies.
     """
     c, s, start = initial.clock_pos - 1, op.s, initial.circuit_state
     if not 0 <= c < s:

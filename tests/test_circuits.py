@@ -1,10 +1,11 @@
+import dataclasses
 import functools
-import gc
 import hashlib
 import json
 import math
 import random
 import runpy
+import weakref
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -787,49 +788,172 @@ def test_wrapper_returns_every_register_but_the_answer_after_r_passes():
         answers[truth.f_of_x] += 1
 
 
-def test_orbit_walk_matches_stepping_oracle_from_every_clock_position(monkeypatch):
-    # merged flipwalk has 19 gates, more than the 16 walks the compile cache
-    # holds, so every clock position must reuse the circuit's one walk; the
-    # cache is keyed on the circuit's shape, so a hit generates no source
-    generated = []
-    source = circuits._walk_source
-    monkeypatch.setattr(
-        circuits, "_walk_source", lambda *shape: generated.append(shape) or source(*shape)
-    )
+def test_orbit_walk_matches_stepping_oracle_from_every_clock_position():
     for name, word, merged in (("flip", "0", False), ("flipwalk", "00", True)):
         circuit = build_wrapper_circuit(corpus.load(name), merge_cells=merged)
         op, gates = ForwardOperator(circuit), circuit.gates
         start = circuit.layout.initial_basis_state(word)
-        misses, generated[:] = circuits._walk.cache_info().misses, []
         for c in range(circuit.s):
             rotated = Circuit(circuit.layout, gates[c:] + gates[:c])
             d = compute_orbit(op, ClockedState(start, c + 1)).dimension
             assert d == circuit.s * orbit_length_by_steps(rotated, start), (name, c)
-        new_misses = circuits._walk.cache_info().misses - misses
-        assert len(generated) == new_misses <= 1, name
 
 
-def test_orbit_walk_leaves_no_reference_cycles():
-    # more shapes than the walk cache holds, so walks it evicts are freed too
-    _, flip = flip_wrapper()
-    walks, shapes, rng = [(flip, flip.layout.initial_basis_state("0"))], set(), random.Random(5)
-    while len(shapes) < 20:
-        try:
-            circuit = build_wrapper_circuit(random_machine(rng))
-        except ClockObsError:
+def _stretch_starts(layout, rng):
+    """Starts of V with every register drawn at random: one anywhere, then
+    in pad and in unwind-pad mode at both ends of a stretch of passes that
+    only count, at the start of the longest one, and inside one."""
+    cmax = layout.counter_max
+
+    def start(mode, counter, idle):
+        values = {reg: rng.randrange(layout.register_dim(reg)) for reg in layout.slots}
+        values.update({R_MODE: mode, R_COUNTER: counter, R_IDLE: idle})
+        return layout.set_registers(layout.zero_state(), values)
+
+    def anywhere():
+        return rng.randrange(cmax + 1)
+
+    inside = sorted((anywhere(), anywhere()))
+    pad = [(cmax - 1, anywhere()), (cmax - 2, anywhere()), (anywhere(), cmax),
+           (anywhere(), cmax - 1), (0, 0), inside[::-1]]
+    unpad = [(0, anywhere()), (1, anywhere()), (anywhere(), 1), (anywhere(), 2),
+             (cmax, cmax), inside]
+    return ([start(rng.randrange(4), anywhere(), anywhere())]
+            + [start(MODE_PAD, c, i) for c, i in pad]
+            + [start(MODE_UNPAD, c, i) for c, i in unpad])
+
+
+def _walks_agree(circuit, starts):
+    # a budget past every orbit from an initial state, so that some random
+    # starts run out of it: both walks must then fail alike
+    budget = 4 * circuit.layout.counter_size + 4
+    for start in starts:
+        fast, slow = (_orbit_or_error(walk, circuit, start, budget) for walk in WALKS)
+        assert fast == slow, (circuit.layout.spec.name, circuit.layout.merged, start)
+
+
+def test_orbit_walk_skips_counting_passes_as_the_stepping_oracle_walks_them():
+    rng = random.Random(26)
+    for merged in (True, False):
+        for spec in [corpus.load(name) for name in corpus.machine_names()]:
+            circuit = build_wrapper_circuit(spec, merge_cells=merged)
+            _walks_agree(circuit, _stretch_starts(circuit.layout, rng))
+        circuit = build_wrapper_circuit(_bench_flip3(), merge_cells=merged)
+        _walks_agree(circuit, rng.sample(_stretch_starts(circuit.layout, rng), 4))
+    # generated machines, one layout each in turn, a start of each kind
+    compared = 0
+    while compared < 100:
+        spec = random_machine(rng)
+        if state_bits(spec) > 5 or rtm.check_reversibility(spec).violations:
             continue
-        shape = circuits._walk_shape(circuit)
-        if circuit.layout.m <= 6 and shape not in shapes:
-            shapes.add(shape)
-            walks.append((circuit, circuit.layout.zero_state()))
-    gc.disable()
-    try:
-        gc.collect()
-        for circuit, start in walks:
-            circuit_orbit_length(circuit, start)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+        try:
+            circuit = build_wrapper_circuit(spec, merge_cells=compared % 2 == 0)
+        except PermutationError:
+            continue  # an initial state the step circuit cannot hold
+        starts = _stretch_starts(circuit.layout, rng)
+        _walks_agree(circuit, [starts[0], rng.choice(starts[1:7]), rng.choice(starts[7:])])
+        compared += 1
+
+
+def test_orbit_walk_of_other_circuits_runs_every_pass():
+    # a rotation of V and the step circuit U are not V: no pass is skipped
+    rng = random.Random(27)
+    for name in corpus.machine_names():
+        spec = corpus.load(name)
+        circuit = build_wrapper_circuit(spec)
+        assert circuit.wrapper and not build_step_circuit(spec).wrapper
+        # only the build sets the flag: replace() and the constructor cannot
+        assert not dataclasses.replace(circuit).wrapper
+        with pytest.raises(TypeError):
+            Circuit(circuit.layout, circuit.gates, wrapper=True)
+        for c in rng.sample(range(1, circuit.s), 3):
+            rotated = dataclasses.replace(circuit, gates=circuit.gates[c:] + circuit.gates[:c])
+            assert not rotated.wrapper
+            _walks_agree(rotated, _stretch_starts(circuit.layout, rng)[:4])
+        step = build_step_circuit(spec)
+        words = product(spec.alphabet, repeat=spec.tape_cells)
+        for start in [*map(step.layout.initial_basis_state, words), step.layout.zero_state()]:
+            assert circuit_orbit_length(step, start) == orbit_length_by_steps(step, start)
+
+
+def test_orbit_walk_runs_only_the_passes_that_do_work(monkeypatch):
+    # flip3's 8 orbits are 24,552 passes: 120 run and unwind-run passes and
+    # 2 more for each of the 12 cycles are walked gate by gate
+    applied = Counter()
+    apply_values = PermGate.apply_values
+    monkeypatch.setattr(
+        PermGate, "apply_values", lambda gate, values: applied.update([gate]) or apply_values(gate, values)
+    )
+    for merged in (True, False):
+        circuit = build_wrapper_circuit(_bench_flip3(), merge_cells=merged)
+        applied.clear()
+        passes = sum(
+            circuit_orbit_length(circuit, circuit.layout.initial_basis_state(format(x, "03b")))
+            for x in range(8)
+        )
+        assert passes == 24_552
+        assert set(applied.values()) == {144}, merged
+
+
+def test_orbit_budget_counts_skipped_passes():
+    # a start inside flip's pad stretch recurs at the end of a skip, so a
+    # budget one pass short of the orbit runs out inside that skip
+    spec, circuit = flip_wrapper()
+    layout = circuit.layout
+    state = layout.initial_basis_state("0")
+    for _ in range(layout.counter_max // 2):
+        before, state = state, apply_circuit(circuit, state)
+    assert layout.get_register(before, R_MODE) == layout.get_register(state, R_MODE) == MODE_PAD
+    r = orbit_length_by_steps(circuit, state)
+    assert circuit_orbit_length(circuit, state, max_steps=r) == r == 2 * nominal_cycle_length(layout.m)
+    with pytest.raises(BudgetExceededError, match=f"^no recurrence within {r - 1} applications"):
+        circuit_orbit_length(circuit, state, max_steps=r - 1)
+
+
+def _gate_content(gate):
+    return gate.label, gate.support, gate.dims, gate.fields, gate.moved.tobytes(), gate.image.tobytes()
+
+
+def test_compiles_of_one_machine_share_their_gates(tmp_path, monkeypatch):
+    monkeypatch.setattr(circuits, "_live_gates", weakref.WeakValueDictionary())
+    path = tmp_path / "flip.rtm"
+    path.write_text(corpus.path("flip").read_text(encoding="utf-8"), encoding="utf-8")
+    first = build_wrapper_circuit(rtm.parse_rtm_file(path))
+    assert len(circuits._live_gates) == first.s
+    # a new circuit over the caller's spec, made of the gates alive already
+    spec = rtm.parse_rtm_file(path)
+    again = build_wrapper_circuit(spec)
+    assert again is not first and again == first and again.layout.spec is spec and again.wrapper
+    assert all(a is b for a, b in zip(again.gates, first.gates))
+    # the other layout shares no gate; one changed rule shares all but the
+    # gates of the map it changes, whose content is that of a fresh build
+    unmerged = build_wrapper_circuit(spec, merge_cells=False)
+    assert not {id(g) for g in unmerged.gates} & {id(g) for g in first.gates}
+    rule = rtm.ReadWriteRule("p0", "0", "h", "1")
+    changed = dataclasses.replace(spec, transitions=tuple(
+        dataclasses.replace(t, target="p0") if t == rule else t for t in spec.transitions
+    ))
+    other = build_wrapper_circuit(changed)
+    fresh = [g for g, f in zip(other.gates, first.gates) if g is not f]
+    assert {g.label for g in fresh} == {"run:rewrite", "unrun:rewrite"}
+    monkeypatch.setattr(circuits, "_live_gates", weakref.WeakValueDictionary())
+    assert list(map(_gate_content, other.gates)) == list(map(_gate_content, build_wrapper_circuit(changed).gates))
+    # a live gate under another gate's key is not taken for it
+    gate = first.gates[0]
+    points = gate.moved.tobytes() + gate.image.tobytes()
+    circuits._live_gates[gate.label, gate.support, gate.dims, gate.fields, hash(points)] = first.gates[1]
+    built = build_wrapper_circuit(spec).gates[0]
+    assert built is not first.gates[1] and _gate_content(built) == _gate_content(gate)
+    # the table keeps no gate alive
+    del first, again, unmerged, other, built, gate
+    assert len(circuits._live_gates) == 0
+    # the compile cap is checked on every call, also for a machine whose
+    # gates are alive
+    kept = build_wrapper_circuit(spec)
+    monkeypatch.setattr(circuits, "MAX_GATE_ENTRIES", 879)
+    with pytest.raises(BudgetExceededError, match="needs 880 gate-table entries"):
+        build_wrapper_circuit(spec)
+    assert kept.s
 
 
 def test_orbit_length_rejects_state_outside_the_layout():
