@@ -40,8 +40,9 @@ so every emitted gate touches at most two wires.
 ``circuit_orbit_length`` walks whole passes of a circuit gate by gate
 (``PermGate.apply_values``; ``apply_circuit`` applies one pass). On V it adds
 each stretch of pad or unwind-pad passes that only step the two counters in
-one go, so its cost follows the run and unwind-run passes, not r. Compiles
-of one machine share their gates while any of them is alive (``_shared``).
+one go, so its cost follows the run and unwind-run passes, not r; there a
+gate of the other mode is passed over once it reads the mode. Compiles of one
+machine share their gates while any of them is alive (``_shared``).
 """
 
 from __future__ import annotations
@@ -185,9 +186,11 @@ class PermGate:
     must be strictly increasing inside the field space, and ``image`` an
     integer permutation of it that fixes no point: checked in O(k log k) for
     k points, and kept read-only in the smallest unsigned dtype that fits.
+    ``apply_values`` drops a point once its leading fields put it outside
+    ``[moved[0], moved[-1]]``, and bisects only the rest.
     """
 
-    __slots__ = ("support", "dims", "fields", "moved", "image", "label", "__weakref__")
+    __slots__ = ("support", "dims", "fields", "moved", "image", "label", "_lookup", "__weakref__")
 
     def __init__(self, support, dims, fields, moved, image, label: str) -> None:
         support, dims = tuple(support), tuple(dims)
@@ -203,9 +206,20 @@ class PermGate:
         dtype = np.min_scalar_type(size - 1)
         moved, image = moved.astype(dtype), image.astype(dtype)
         moved.flags.writeable = image.flags.writeable = False
+        # per field, the range the index packed so far must lie in to reach
+        # [first, last] (empty with no points); memoryviews index to Python ints
+        first, last = (moved.item(0), moved.item(-1)) if len(moved) else (0, -1)
+        radix, steps = size, []
+        for w, stride, dim in fields:
+            radix //= dim
+            steps.append((w, stride, dim, first // radix, last // radix))
+        lookup = (tuple(steps), memoryview(moved), memoryview(image))
         # set past the read-only guard, which is for changes after construction
-        for name, value in zip(self.__slots__, (support, dims, fields, moved, image, label)):
+        for name, value in zip(self.__slots__, (support, dims, fields, moved, image, label, lookup)):
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # memoryviews do not pickle: copies go through the constructor
+        return PermGate, (self.support, self.dims, self.fields, self.moved, self.image, self.label)
 
     def __setattr__(self, name: str, value) -> None:
         if hasattr(self, name):
@@ -246,13 +260,16 @@ class PermGate:
         return table
 
     def apply_values(self, values: list[int]) -> None:
+        steps, moved, image = self._lookup
         idx = 0
-        for w, stride, dim in self.fields:
+        for w, stride, dim, lo, hi in steps:
             idx = idx * dim + values[w] // stride % dim
-        k = bisect.bisect_left(self.moved, idx)
-        if k == len(self.moved) or self.moved.item(k) != idx:
+            if not lo <= idx <= hi:
+                return
+        k = bisect.bisect_left(moved, idx)  # below len(moved), as idx <= moved[-1]
+        if moved[k] != idx:
             return
-        out = self.image.item(k)
+        out = image[k]
         for w, stride, dim in reversed(self.fields):
             if out == idx:
                 return

@@ -8,12 +8,13 @@ spectrum.
 the sweep here decides it by stepping every configuration with
 ``rtm.step_machine``, so the two can be compared machine by machine.
 ``clock.compute_orbit`` and ``circuits.circuit_orbit_length`` walk whole
-passes as generated code; ``apply_forward`` takes one forward step of the
-clocked circuit, ``apply_backward`` one step of its inverse, built from each
-gate's inverted table, and ``orbit_length_by_steps`` walks passes one
-``PermGate.apply_values`` at a time.
-``PermGate`` keeps only the points its table moves; ``field_table``
-rebuilds the whole table over its fields from them.
+passes through ``PermGate.apply_values``, which bisects each gate's moved
+points. ``PermGate`` keeps only the points its table moves; ``field_table``
+rebuilds the whole table over its fields from them, and ``apply_gate``
+applies a gate, or its inverse, by a lookup in that table, so the walks here
+do not share the lookup they check: ``apply_forward`` takes one forward step
+of the clocked circuit, ``apply_backward`` one step of its inverse, and
+``orbit_length_by_steps`` walks passes one gate application at a time.
 ``circuits.build_step_circuit`` and ``build_wrapper_circuit`` enumerate the
 points each gate moves; ``dense_step_circuit`` and ``dense_wrapper_circuit``
 build the same gates the dense way, each register-level map evaluated by
@@ -404,21 +405,40 @@ def dense_wrapper_circuit(spec: RtmSpec, merge_cells: bool = True) -> Circuit:
     return Circuit(layout=layout, gates=tuple(gates))
 
 
+# keyed by gate identity (gates are read-only): one table per gate, not per step
+@functools.lru_cache(maxsize=256)
+def _gate_table(gate: PermGate, inverse: bool) -> np.ndarray:
+    """``field_table(gate)``, or with ``inverse`` the table that undoes it."""
+    table = field_table(gate)
+    return np.argsort(table) if inverse else table
+
+
+def _apply_table(fields, table: np.ndarray, values: list[int]) -> None:
+    """The field digits of ``values`` packed to i, replaced by ``table[i]``'s."""
+    idx = 0
+    for w, stride, dim in fields:
+        idx = idx * dim + values[w] // stride % dim
+    out = table.item(idx)
+    for w, stride, dim in reversed(fields):
+        if out == idx:
+            return
+        out, new = divmod(out, dim)
+        idx, old = divmod(idx, dim)
+        values[w] += (new - old) * stride
+
+
+def apply_gate(gate: PermGate, values: list[int], inverse: bool = False) -> None:
+    """``gate`` (or its inverse) applied to ``values`` in place by a lookup in
+    its whole table over its fields, not through ``PermGate.apply_values``."""
+    _apply_table(gate.fields, _gate_table(gate, inverse), values)
+
+
 def apply_forward(op: ForwardOperator, state: ClockedState) -> ClockedState:
     """One step of the forward operator F: apply the gate under the clock and
     advance the excitation (s wraps to 1)."""
-    gate = op.circuit.gates[state.clock_pos - 1]
     values = list(state.circuit_state.values)
-    gate.apply_values(values)
+    apply_gate(op.circuit.gates[state.clock_pos - 1], values)
     return ClockedState(BasisState(tuple(values)), state.clock_pos % op.s + 1)
-
-
-# keyed by gate identity (gates are read-only): one inversion per gate, not per step
-@functools.lru_cache(maxsize=64)
-def _inverse_gate(gate: PermGate) -> PermGate:
-    """The gate that undoes ``gate``: its table over its fields, inverted."""
-    inverse = np.argsort(field_table(gate))
-    return PermGate.from_table(gate.support, gate.dims, inverse, gate.label, gate.fields)
 
 
 def apply_backward(op: ForwardOperator, state: ClockedState) -> ClockedState:
@@ -427,21 +447,23 @@ def apply_backward(op: ForwardOperator, state: ClockedState) -> ClockedState:
     table."""
     pos = (state.clock_pos - 2) % op.s + 1
     values = list(state.circuit_state.values)
-    _inverse_gate(op.circuit.gates[pos - 1]).apply_values(values)
+    apply_gate(op.circuit.gates[pos - 1], values, inverse=True)
     return ClockedState(BasisState(tuple(values)), pos)
 
 
 def orbit_length_by_steps(
     circuit: Circuit, initial: BasisState, max_steps: int | None = None
 ) -> int:
-    """``circuits.circuit_orbit_length`` one gate application at a time."""
+    """``circuits.circuit_orbit_length`` one gate application at a time, each
+    a lookup in the gate's table as ``apply_gate`` makes it."""
     if max_steps is None:
         max_steps = 16 * circuit.layout.counter_size + 16
     values = list(initial.values)
     start = tuple(values)
+    tables = [(gate.fields, _gate_table(gate, False)) for gate in circuit.gates]
     for step in range(1, max_steps + 1):
-        for gate in circuit.gates:
-            gate.apply_values(values)
+        for fields, table in tables:
+            _apply_table(fields, table, values)
         if tuple(values) == start:
             return step
     raise BudgetExceededError(

@@ -293,3 +293,15 @@ def test_criterion_9_locality(instances):
         assert len(report.term_supports) == inst.circuit.s
     _report(9, "every forward-operator term on merged layouts touches "
                "exactly 4 wires at its widest")
+
+
+# The paper's observable is 4-local on qubits; a wire here is a qudit. In
+# qubits, a forward term spans ceil(log2 dim) of each wire its gate touches,
+# plus the 2 clock qubits, and its widest term grows with the machine.
+WIDEST_TERM_QUBITS = {"halt": 10, "flip": 12, "rot3": 16, "flipwalk": 19}
+
+
+def test_widest_forward_term_in_qubits(instances):
+    for inst in instances:
+        qubits = [sum((d - 1).bit_length() for d in g.dims) + 2 for g in inst.circuit.gates]
+        assert max(qubits) == WIDEST_TERM_QUBITS[inst.name], inst.label

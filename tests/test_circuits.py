@@ -1,8 +1,10 @@
+import copy
 import dataclasses
 import functools
 import hashlib
 import json
 import math
+import pickle
 import random
 import runpy
 import weakref
@@ -157,6 +159,97 @@ def test_perm_gate_from_moved_points_equals_its_table_form():
     assert by_points.image.tolist() == by_table.image.tolist() == [3, 0]
     assert np.array_equal(by_points.table, by_table.table)
     _assert_table_matches_apply_values(by_points)
+
+
+def _field_image(gate: PermGate, idx: int) -> int:
+    """The field point ``apply_values`` sends ``idx`` to, on wire values that
+    hold ``idx``'s digits in the gate's fields and zero elsewhere."""
+    values = [0] * (max(gate.support) + 1)
+    for w, stride, dim in reversed(gate.fields):
+        idx, digit = divmod(idx, dim)
+        values[w] += digit * stride
+    gate.apply_values(values)
+    out = 0
+    for w, stride, dim in gate.fields:
+        out = out * dim + values[w] // stride % dim
+    return out
+
+
+def _assert_lookup_matches_field_table(gate: PermGate) -> None:
+    # every moved point, the points just outside [first, last], and the
+    # points next to each end of every gap between two moved points
+    moved, table = gate.moved.tolist(), field_table(gate)
+    probes = {p for a, b in zip(moved, moved[1:]) if b > a + 1 for p in (a + 1, b - 1)}
+    probes.update(moved, [moved[0] - 1, moved[-1] + 1] if moved else range(len(table)))
+    for idx in sorted(p for p in probes if 0 <= p < len(table)):
+        assert _field_image(gate, idx) == table.item(idx), (gate.label, idx)
+
+
+@pytest.mark.parametrize(
+    "dims, fields, moved, dtype",
+    [
+        ((12,), [(0, 2, 6)], [1, 4, 5], np.uint8),
+        ((100, 60), [(0, 1, 100), (1, 1, 60)], [7, 8, 300, 4000, 5998], np.uint16),
+        ((300, 300), [(1, 1, 300), (0, 1, 300)], [3, 1000, 1001, 70000, 89990], np.uint32),
+    ],
+    ids=["uint8", "uint16", "uint32"],
+)
+def test_lookup_matches_the_field_table_in_each_dtype(dims, fields, moved, dtype):
+    # each moved point sent to the next, the last to the first
+    gate = PermGate(tuple(range(len(dims))), dims, fields, moved, np.roll(moved, -1), "cycle")
+    assert gate.moved.dtype == dtype
+    _assert_lookup_matches_field_table(gate)
+
+
+@pytest.mark.parametrize("merged", [True, False])
+def test_lookup_matches_the_field_table_on_compiled_gates(merged):
+    # the corpus and flip3 compile gates in uint8 and uint16, and gates that
+    # move nothing (the move gates of machines with no moving rule)
+    dtypes = Counter()
+    for spec in [corpus.load(name) for name in corpus.machine_names()] + [_bench_flip3()]:
+        for gate in build_wrapper_circuit(spec, merge_cells=merged).gates:
+            _assert_lookup_matches_field_table(gate)
+            dtypes[gate.moved.dtype.name, len(gate.moved) > 0] += 1
+    assert set(dtypes) == {("uint8", False), ("uint8", True), ("uint16", True)}
+
+
+def test_lookup_of_a_gate_that_moves_nothing_misses_every_point():
+    # with no 1 symbol, the answer copy never flips the solution bit
+    spec = parse_rtm_spec(
+        "states: p:rw h:final\nalphabet: 0 2\ninitial: p\ntape_cells: 1\n"
+        "transition: rw (p,0) -> (h,2)\ntransition: rw (p,2) -> (h,0)\n"
+    )
+    (gate,) = [g for g in build_wrapper_circuit(spec).gates if g.label == "answer"]
+    assert len(gate.moved) == 0
+    size = math.prod(d for _, _, d in gate.fields)
+    assert [_field_image(gate, idx) for idx in range(size)] == list(range(size))
+
+
+def test_lookup_slot_is_read_only():
+    # the idle counter steps in pad and unwind-pad mode only: the index
+    # packed up to the mode lies between those modes, and the whole index
+    # between the gate's first and last moved point
+    (gate,) = [g for g in build_wrapper_circuit(corpus.load("flip")).gates if g.label == "idle"]
+    (mode, idle), size = gate.fields, gate.fields[1][2]
+    steps, moved, image = gate._lookup
+    assert steps == ((*mode, MODE_PAD, MODE_UNPAD), (*idle, MODE_PAD * size, MODE_UNPAD * size + size - 1))
+    assert (steps[-1][3], steps[-1][4]) == (gate.moved[0], gate.moved[-1])
+    assert all(type(n) is int for step in steps for n in step)
+    assert moved.tolist() == gate.moved.tolist() and image.tolist() == gate.image.tolist()
+    with pytest.raises(AttributeError):
+        gate._lookup = ((), moved, image)
+    with pytest.raises(TypeError):
+        moved[0] = 0
+
+
+def test_circuits_copy_and_pickle_through_the_gate_constructor():
+    # a gate's lookup holds memoryviews, which do not pickle
+    circuit = build_wrapper_circuit(corpus.load("flipwalk"), merge_cells=False)
+    start = circuit.layout.initial_basis_state("00")
+    for copied in (pickle.loads(pickle.dumps(circuit)), copy.deepcopy(circuit)):
+        assert copied.wrapper and copied.layout == circuit.layout
+        assert list(map(_gate_content, copied.gates)) == list(map(_gate_content, circuit.gates))
+        assert circuit_orbit_length(copied, start) == circuit_orbit_length(circuit, start)
 
 
 def test_perm_gate_table_is_read_only():
