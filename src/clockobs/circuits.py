@@ -28,7 +28,8 @@ the head is final. The solution bit is flipped once per pass, when the mode
 is pad, the counter is all-ones, and the result cell holds the accept symbol.
 Iterating V therefore returns every register to its initial value after
 2*(2**(m+1)-1) applications, except the solution bit which accumulates the
-machine's answer; a machine that accepts doubles the cycle.
+machine's answer; a machine that accepts doubles the cycle. A machine with
+m over ``MAX_REGISTER_BITS`` is refused before any point is built.
 
 Each gate permutes the registers it reads, given and stored as the points it
 moves and their images, checked in O(k log k) for k points; the other
@@ -48,7 +49,6 @@ machine share their gates while any of them is alive (``_shared``).
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -63,12 +63,13 @@ from .rtm import check_config_budget, initial_config
 
 MODE_RUN, MODE_PAD, MODE_UNPAD, MODE_UNRUN = 0, 1, 2, 3
 
-# Size caps. The compile cap counts the entries of the register grids V's
-# gates read, though only the points they move are built: flip3, the largest
-# machine exercised, reads 0.1M and builds 6,244 (24.8 KB) in under 2 ms.
-# `clockobs compile` writes its 5.5M merged wire-level entries (37.8 MB) in
-# about 0.12 s at a 114 MB peak RSS (2-vCPU Xeon).
-MAX_GATE_ENTRIES = 2_000_000
+# Size caps. Every cost of V grows as 2**m: the counter points the compile
+# builds, the ground-truth budget of 4*2**(m+1) steps and the orbit walk. At
+# the cap, flip3's pattern on 8 cells builds 1.57M points in about 0.1 s, and
+# a machine that never halts is refused after 2**20 ground-truth steps in
+# 2.3 s. Merged flip3's 5.5M wire-level entries (37.8 MB) dump in about
+# 0.12 s at a 114 MB peak RSS (2-vCPU Xeon).
+MAX_REGISTER_BITS = 17
 MAX_DUMP_ENTRIES = 6_000_000
 
 # register names used in layouts
@@ -438,18 +439,18 @@ def _cell_swap(cell: int, a: int) -> tuple[np.ndarray, np.ndarray]:
     return base + xy, base + xy % a * a + xy // a
 
 
-# A map is ``(label, registers read, points)``: ``points()`` returns the
-# points the map moves, strictly increasing, and their images, both packed
-# mixed radix over the registers in the order given. Its gate is
-# ``PermGate(*_placement(layout, registers), *points(), label)``.
-Map = tuple[str, tuple[str, ...], Callable[[], tuple[np.ndarray, np.ndarray]]]
+# A map is ``(label, registers read, moved, image)``: the points the map
+# moves, strictly increasing, and their images, both packed mixed radix over
+# the registers in the order given. Its gate is
+# ``PermGate(*_placement(layout, registers), moved, image, label)``.
+Map = tuple[str, tuple[str, ...], np.ndarray, np.ndarray]
 
 
 def _step_maps(spec: RtmSpec) -> list[Map]:
     """U as an ordered list of maps: the move, the swap wall, the rewrite and
-    the mirror swap wall. The move and the rewrite move the points that the
-    machine's rules, completed to permutations, move; the completion runs
-    here, so an irreversible machine is refused before the compile cap."""
+    the mirror swap wall, which moves the swap wall's points. The move and
+    the rewrite move the points that the machine's rules, completed to
+    permutations, move; an irreversible machine fails that completion."""
     sidx, aidx = spec.state_index, spec.symbol_index
     q, n, a = len(spec.states), spec.tape_cells, len(spec.alphabet)
     moves = complete_permutation(q * n, {
@@ -461,15 +462,13 @@ def _step_maps(spec: RtmSpec) -> list[Map]:
         sidx[r.source] * a + aidx[r.read]: sidx[r.target] * a + aidx[r.write]
         for r in spec.rw_rules.values()
     })
+    swaps = [((R_INDEX, R_ACC, tape_register(i)), *_cell_swap(i, a)) for i in range(1, n + 1)]
 
     def wall(tag: str) -> list[Map]:
-        return [
-            (f"{tag}[{i}]", (R_INDEX, R_ACC, tape_register(i)), functools.partial(_cell_swap, i, a))
-            for i in range(1, n + 1)
-        ]
+        return [(f"{tag}[{i}]", *swap) for i, swap in enumerate(swaps, start=1)]
 
-    move = ("move", (R_HEAD, R_INDEX), functools.partial(_moved, moves))
-    rewrite = ("rewrite", (R_HEAD, R_ACC), functools.partial(_moved, rewrites))
+    move = ("move", (R_HEAD, R_INDEX), *_moved(moves))
+    rewrite = ("rewrite", (R_HEAD, R_ACC), *_moved(rewrites))
     return [move] + wall("swap") + [rewrite] + wall("swap2")
 
 
@@ -495,8 +494,8 @@ def build_step_circuit(spec: RtmSpec) -> Circuit:
     move that lands on a read-write state performs both in one application)."""
     _guard_initial_state(spec)
     layout = machine_layout(spec)
-    gates = (PermGate(*_placement(layout, regs), *points(), label)
-             for label, regs, points in _step_maps(spec))
+    gates = (PermGate(*_placement(layout, regs), moved, image, label)
+             for label, regs, moved, image in _step_maps(spec))
     return Circuit(layout=layout, gates=tuple(gates))
 
 
@@ -527,9 +526,9 @@ def _swap_points(a: int, b: int, rest: list[int], size: int) -> tuple[np.ndarray
 
 
 def _bookkeeping_maps(layout: RegisterLayout) -> list[Map]:
-    """V's counters, answer copy and mode changes as maps. The counters move
-    all 2**(m+3) of their points, so no points are built until ``points()``
-    is called, after the compile cap."""
+    """V's counters, answer copy and mode changes as maps. The two counters
+    move 6*2**(m+1) points between them, most of V's points for any machine
+    near the compile cap."""
     spec, cmax, csize = layout.spec, layout.counter_max, layout.counter_size
     # copy the answer: flip solution once per pass, in pad at counter
     # all-ones when the result cell holds the accept symbol (if there is one)
@@ -544,17 +543,16 @@ def _bookkeeping_maps(layout: RegisterLayout) -> list[Map]:
     at_top, at_zero = ([cmax], csize), ([0], csize)
     return [
         # counter: up in run/pad, down in unwind modes
-        ("counter", (R_MODE, R_COUNTER), functools.partial(
-            _count_points, {MODE_RUN: 1, MODE_PAD: 1, MODE_UNPAD: -1, MODE_UNRUN: -1}, csize)),
+        ("counter", (R_MODE, R_COUNTER), *_count_points(
+            {MODE_RUN: 1, MODE_PAD: 1, MODE_UNPAD: -1, MODE_UNRUN: -1}, csize)),
         # idle counter: up in pad, down in unwind-pad, held elsewhere. The
         # unwind-run mode must hold it (not decrement) or the next pass would
         # start with a nonzero idle counter and never leave run mode.
-        ("idle", (R_MODE, R_IDLE), functools.partial(
-            _count_points, {MODE_PAD: 1, MODE_UNPAD: -1}, csize)),
+        ("idle", (R_MODE, R_IDLE), *_count_points({MODE_PAD: 1, MODE_UNPAD: -1}, csize)),
         ("answer", (R_MODE, R_COUNTER, tape_register(spec.result_cell), R_SOLUTION),
-         lambda: (at + flip, at + flip[::-1])),
+         at + flip, at + flip[::-1]),
     ] + [
-        (label, registers, functools.partial(_swap_points, a, b, *cond))
+        (label, registers, *_swap_points(a, b, *cond))
         for a, b, registers, cond, label in (
             (MODE_RUN, MODE_PAD, (R_MODE, R_IDLE, R_HEAD), halted, "mode:run<->pad"),
             (MODE_PAD, MODE_UNPAD, (R_MODE, R_COUNTER), at_top, "mode:pad<->unpad"),
@@ -612,25 +610,19 @@ def build_wrapper_circuit(spec: RtmSpec, merge_cells: bool = True) -> Circuit:
     """The self-looping circuit V (see the module docstring for the mode
     rules and gate ordering). Raises ``BudgetExceededError`` before any wire
     is built when the machine is over ``rtm.MAX_CONFIG_BITS``, and before any
-    gate's points are built when the grids its gates read would exceed
-    ``MAX_GATE_ENTRIES``."""
+    map's points are built when its register space needs more than
+    ``MAX_REGISTER_BITS`` bits."""
     _guard_initial_state(spec)
     layout = wrapper_layout(spec, merge_cells=merge_cells)
-    maps = _step_maps(spec)
-    bookkeeping = _bookkeeping_maps(layout)
-    read = [(R_MODE, *regs) for _, regs, _ in maps] * 2 + [regs for _, regs, _ in bookkeeping]
-    entries = sum(math.prod(map(layout.register_dim, regs)) for regs in read)
-    if entries > MAX_GATE_ENTRIES:
+    if layout.m > MAX_REGISTER_BITS:
         raise BudgetExceededError(
-            f"wrapper circuit needs {entries} gate-table entries, "
-            f"over the compile cap {MAX_GATE_ENTRIES}"
+            f"machine needs m = {layout.m} register bits, over the compile cap {MAX_REGISTER_BITS}"
         )
 
     # the payload is U itself: each map's moved points at the run digit, then
     # U^-1 in reverse order at the unwind-run digit, the same points sent back
     gates, undo = [], []
-    for label, regs, points in maps:
-        moved, image = points()
+    for label, regs, moved, image in _step_maps(spec):
         back = moved[np.argsort(image)]  # where each moved point came from
         size = math.prod(map(layout.register_dim, regs))
         run, unrun = MODE_RUN * size, MODE_UNRUN * size
@@ -638,8 +630,8 @@ def build_wrapper_circuit(spec: RtmSpec, merge_cells: bool = True) -> Circuit:
         gates.append(PermGate(*where, moved + run, image + run, f"run:{label}"))
         undo.append(PermGate(*where, moved + unrun, back + unrun, f"unrun:{label}"))
     gates += reversed(undo)
-    gates += [PermGate(*_placement(layout, regs), *points(), label)
-              for label, regs, points in bookkeeping]
+    gates += [PermGate(*_placement(layout, regs), moved, image, label)
+              for label, regs, moved, image in _bookkeeping_maps(layout)]
     circuit = Circuit(layout=layout, gates=tuple(map(_shared, gates)))
     object.__setattr__(circuit, "wrapper", True)
     return circuit

@@ -5,9 +5,10 @@ decide: loads a machine, checks it is reversible, compiles the self-looping
 circuit, runs the machine directly for the ground truth, measures the clock
 observable's orbit, samples accuracy-limited outcomes and decides the
 machine's answer. Validate refuses a machine over ``rtm.MAX_CONFIG_BITS``
-and compile one over ``circuits.MAX_GATE_ENTRIES``; the ground-truth step
-budget is set by the compiled circuit's register size, so no machine is run
-that could not be compiled, and one that does not halt within it is refused.
+and compile one whose m is over ``circuits.MAX_REGISTER_BITS``; the
+ground-truth step budget is set by the compiled circuit's m, so no machine
+is run that could not be compiled, and one that does not halt within it is
+refused.
 ``clock_machine`` runs parse to orbit, and the sample stage resolves the
 accuracy, for ``run_experiment`` and ``clockobs orbit``/``sample``/``decide``
 alike; ``clockobs compile`` and ``validate`` share the stages up to compile

@@ -23,10 +23,12 @@ from .errors import BudgetExceededError, MachineStepError, SpecParseError
 
 ACCEPT_SYMBOL = "1"
 
-# Size cap on log2 of the configuration space |states| * N * |alphabet|**N.
-# A machine over it is far over circuits.MAX_GATE_ENTRIES too, and under it
-# every count the program prints stays below 80 digits, so larger machines
-# are refused before any work that grows with the tape.
+# Size cap on log2 of the configuration space |states| * N * |alphabet|**N,
+# each cell counted as at least one bit so that the cap bounds the tape
+# length too, also for a one-symbol alphabet. A machine over it is far over
+# circuits.MAX_REGISTER_BITS too, and under it every count the program
+# prints stays below 80 digits, so larger machines are refused before any
+# work that grows with the tape.
 MAX_CONFIG_BITS = 256
 
 
@@ -364,10 +366,11 @@ def config_space_size(spec: RtmSpec) -> int:
 
 
 def check_config_budget(spec: RtmSpec) -> None:
-    """Raise ``BudgetExceededError`` when log2 of the configuration space
-    exceeds ``MAX_CONFIG_BITS``; computed without building the space size."""
+    """Raise ``BudgetExceededError`` when log2 of the configuration space,
+    with at least one bit per cell, exceeds ``MAX_CONFIG_BITS``; computed
+    without building the space size."""
     bits = math.log2(len(spec.states) * spec.tape_cells)
-    bits += spec.tape_cells * math.log2(len(spec.alphabet))
+    bits += spec.tape_cells * math.log2(max(len(spec.alphabet), 2))
     if bits > MAX_CONFIG_BITS:
         raise BudgetExceededError(
             f"machine has 2**{bits:.1f} configurations, over the cap 2**{MAX_CONFIG_BITS}"

@@ -212,6 +212,27 @@ def spec_text(spec: RtmSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def flip_walker(cells: int) -> str:
+    """Spec text of ``bench/machines.FLIP3``'s pattern on ``cells`` >= 2
+    cells: walk right flipping every cell, walk back to cell 1 and halt.
+    Accepts exactly when the input's first bit is 0. It has 3*cells - 1
+    states, so m = ceil(log2((3*cells - 1) * cells * 2**(cells + 1)))."""
+    states, rules = [], []
+    for i in range(cells):
+        after = f"w{i + 1}" if i < cells - 1 else f"b{cells - 1}"
+        states.append(f"a{i}:rw")
+        rules += [f"rw (a{i},0) -> ({after},1)", f"rw (a{i},1) -> ({after},0)"]
+        if i < cells - 1:
+            states.append(f"w{i + 1}:right")
+            rules.append(f"move w{i + 1} -> a{i + 1} +1")
+    for i in range(cells - 1, 0, -1):
+        states.append(f"b{i}:left")
+        rules.append(f"move b{i} -> {f'b{i - 1}' if i > 1 else 'h'} -1")
+    lines = [f"states: {' '.join(states)} h:final", "alphabet: 0 1", "initial: a0",
+             f"tape_cells: {cells}", "result_cell: 1", *(f"transition: {r}" for r in rules)]
+    return "\n".join(lines) + "\n"
+
+
 def field_table(gate: PermGate) -> np.ndarray:
     """The gate's whole table over its fields, in the dtype of ``gate.moved``:
     the identity with each moved point sent to its image."""

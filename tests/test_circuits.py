@@ -20,6 +20,7 @@ from oracle import (
     dense_step_circuit,
     dense_wrapper_circuit,
     field_table,
+    flip_walker,
     least_seen_run,
     lift_gate,
     orbit_length_by_steps,
@@ -29,6 +30,7 @@ from oracle import (
 
 from clockobs import circuits, corpus, rtm
 from clockobs.circuits import (
+    MAX_REGISTER_BITS,
     MODE_PAD,
     MODE_RUN,
     MODE_UNPAD,
@@ -304,26 +306,19 @@ def test_lifted_gate_rides_along_registers_it_does_not_read():
 
 
 def test_wrapper_calls_each_map_once(monkeypatch):
-    # each map's points are built once: U's run and unwind-run gates share them
+    # each map's points are built once: U's run and unwind-run gates share
+    # them, and so do the two swap walls
     built = Counter()
 
-    def counted(make_maps):
-        def make(*args):
-            return [
-                (label, regs, lambda label=label, points=points: built.update([label]) or points())
-                for label, regs, points in make_maps(*args)
-            ]
+    def counted(name):
+        build = getattr(circuits, name)
+        monkeypatch.setattr(circuits, name, lambda *args: built.update([name]) or build(*args))
 
-        return make
-
-    monkeypatch.setattr(circuits, "_step_maps", counted(circuits._step_maps))
-    monkeypatch.setattr(circuits, "_bookkeeping_maps", counted(circuits._bookkeeping_maps))
+    for name in ("_moved", "_cell_swap", "_count_points", "_swap_points"):
+        counted(name)
     spec = corpus.load("flipwalk")
-    steps = [g.label for g in build_step_circuit(spec).gates]
-    built.clear()
-    circuit = build_wrapper_circuit(spec)
-    bookkeeping = [g.label for g in circuit.gates[2 * len(steps):]]
-    assert built == Counter(steps + bookkeeping)  # every label is distinct
+    build_wrapper_circuit(spec)
+    assert built == {"_moved": 2, "_cell_swap": spec.tape_cells, "_count_points": 2, "_swap_points": 4}
 
 
 # sha256 of every gate's (label, fields) and int64 field_table, from
@@ -415,21 +410,41 @@ def test_merged_flipwalk_stores_a_small_fraction_of_its_wire_tables():
 
 
 def test_wrapper_over_the_compile_cap_fails_before_lifting(monkeypatch):
-    # no map's points and no gate may be built before the cap is checked
+    # the cap is on m: no map's points and no gate may be built before it is
+    # checked. flip8 is at the cap and flip9 one bit over it
     def refuse(*args, **kwargs):
         raise AssertionError("built before the compile cap")
 
-    def unbuilt(make_maps):
-        return lambda *args: [(label, regs, refuse) for label, regs, _ in make_maps(*args)]
-
-    monkeypatch.setattr(circuits, "_step_maps", unbuilt(circuits._step_maps))
-    monkeypatch.setattr(circuits, "_bookkeeping_maps", unbuilt(circuits._bookkeeping_maps))
-    monkeypatch.setattr(circuits, "PermGate", refuse)
+    for name in ("_step_maps", "_bookkeeping_maps", "PermGate"):
+        monkeypatch.setattr(circuits, name, refuse)
+    at_cap, over = (parse_rtm_spec(flip_walker(k), f"flip{k}") for k in (8, 9))
+    assert MAX_REGISTER_BITS == 17
     with pytest.raises(AssertionError, match="before the compile cap"):
-        build_wrapper_circuit(corpus.load("flip"))  # at the cap, it builds
-    monkeypatch.setattr(circuits, "MAX_GATE_ENTRIES", 879)
-    with pytest.raises(BudgetExceededError, match="needs 880 gate-table entries"):
-        build_wrapper_circuit(corpus.load("flip"))
+        build_wrapper_circuit(at_cap)  # at the cap, it builds
+    with pytest.raises(BudgetExceededError,
+                       match=r"^machine needs m = 18 register bits, over the compile cap 17$"):
+        build_wrapper_circuit(over)
+
+
+def test_flip_walkers_up_to_the_compile_cap_agree_with_ground_truth():
+    # flip5 (m = 13) and flip6 (m = 14) were refused by a cap on the grids
+    # V's gates read; flip8 is at the cap on m. flip3 is the bench's machine
+    assert parse_rtm_spec(flip_walker(3), "flip3") == _bench_flip3()
+    for cells, m, points in ((5, 13, 98_524), (6, 14, 196_906), (8, MAX_REGISTER_BITS, 1_573_354)):
+        spec = parse_rtm_spec(flip_walker(cells), f"flip{cells}")
+        words = ["0" * cells, "1" * cells]  # one accepts, one rejects
+        if cells == 5:
+            words = [format(x, "05b") for x in range(32)]
+        for merged in (True, False):
+            circuit = build_wrapper_circuit(spec, merge_cells=merged)
+            assert circuit.layout.m == m and sum(len(g.moved) for g in circuit.gates) == points
+            r = nominal_cycle_length(m)
+            for word in words:
+                f = rtm.run_machine(spec, word, max_steps=1_000).f_of_x
+                assert f == (word[0] == "0")
+                start = ClockedState(circuit.layout.initial_basis_state(word), 1)
+                d = compute_orbit(ForwardOperator(circuit), start).dimension
+                assert d == circuit.s * r * (1 + f), (cells, merged, word)
 
 
 def test_dump_over_its_cap_fails_before_building(monkeypatch):
@@ -1043,8 +1058,8 @@ def test_compiles_of_one_machine_share_their_gates(tmp_path, monkeypatch):
     # the compile cap is checked on every call, also for a machine whose
     # gates are alive
     kept = build_wrapper_circuit(spec)
-    monkeypatch.setattr(circuits, "MAX_GATE_ENTRIES", 879)
-    with pytest.raises(BudgetExceededError, match="needs 880 gate-table entries"):
+    monkeypatch.setattr(circuits, "MAX_REGISTER_BITS", kept.layout.m - 1)
+    with pytest.raises(BudgetExceededError, match=f"needs m = {kept.layout.m} register bits"):
         build_wrapper_circuit(spec)
     assert kept.s
 

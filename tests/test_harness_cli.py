@@ -843,8 +843,8 @@ def test_config_of_the_wrong_type_fails_before_any_stage(key, field, tmp_path, m
 
 def write_wide(tmp_path, cells: int = 24) -> str:
     """A reversible binary machine with ``cells`` tape cells. At 24 cells it
-    has 2 * 24 * 2**24 configurations, and V's gates would hold
-    206,158,467,488 register-level entries."""
+    has 2 * 24 * 2**24 configurations, and its registers need m = 31 bits,
+    over the compile cap of 17."""
     wide = tmp_path / f"wide{cells}.rtm"
     wide.write_text(
         f"states: p:rw h:final\nalphabet: 0 1\ninitial: p\ntape_cells: {cells}\n"
@@ -899,7 +899,7 @@ def test_cli_multi_character_symbol_exits_2_with_one_line(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv,cap",
     [
-        (["compile", FLIP], ("circuits", "MAX_GATE_ENTRIES", 100)),
+        (["compile", FLIP], ("circuits", "MAX_REGISTER_BITS", 2)),
         (["compile", FLIP], ("circuits", "MAX_DUMP_ENTRIES", 1000)),
         (["spectrum", "--d", "100000000"], None),
         (["compile", "WIDE"], None),
@@ -948,8 +948,7 @@ def test_gate_cap_prints_one_budget_line_in_every_command(argv, tmp_path, capsys
     argv = [write_wide(tmp_path) if a == "WIDE" else a for a in argv]
     assert cli_dispatch(argv) == EXIT_BUDGET
     assert capsys.readouterr().err == (
-        "[budget] wrapper circuit needs 206158467488 gate-table entries, "
-        "over the compile cap 2000000\n"
+        "[budget] machine needs m = 31 register bits, over the compile cap 17\n"
     )
 
 
@@ -1138,6 +1137,24 @@ def test_config_cap_fails_fast_with_one_budget_line(argv, cells, tmp_path, capsy
     assert captured.out == ""
     bits = {10_000: "10014.3", 100_000: "100017.6"}[cells]
     assert captured.err == f"[budget] machine has 2**{bits} configurations, over the cap 2**256\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "UNARY"], ["compile", "UNARY"], ["experiment", "--spec", "UNARY", "--input", "0"]],
+    ids=lambda argv: argv[0],
+)
+def test_one_symbol_tape_is_refused_over_the_config_cap(argv, tmp_path, capsys):
+    # a one-symbol cell adds no configurations but is still a register:
+    # counted as one bit, a 10**8-cell tape is refused before it is built
+    path = tmp_path / "unary.rtm"
+    path.write_text("states: s:final\nalphabet: 0\ninitial: s\ntape_cells: 100000000\n", encoding="utf-8")
+    started = time.perf_counter()
+    assert cli_dispatch([str(path) if a == "UNARY" else a for a in argv]) == EXIT_BUDGET
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "[budget] machine has 2**100000026.6 configurations, over the cap 2**256\n"
 
 
 TARGET = (  # p is entered by the moving rule of q, so V cannot hold it fixed

@@ -435,15 +435,17 @@ def test_step_map_is_a_bijection_with_reversal_inverse(name):
 @pytest.mark.parametrize("cells,over", [(247, False), (248, True)])
 def test_config_cap_is_on_log2_of_the_configuration_space(cells, over):
     # 2 states, binary: log2(2 * N * 2**N) = 1 + log2(N) + N, about 255.95 at
-    # 247 cells and 256.95 at 248
-    text = (
-        f"states: p:rw h:final\nalphabet: 0 1\ninitial: p\ntape_cells: {cells}\n"
-        "transition: rw (p,0) -> (h,1)\ntransition: rw (p,1) -> (h,0)\n"
+    # 247 cells and 256.95 at 248. A one-symbol cell counts as one bit too,
+    # so the cap bounds the tape length whatever the alphabet
+    header = f"states: p:rw h:final\ninitial: p\ntape_cells: {cells}\n"
+    binary = parse_rtm_spec(
+        header + "alphabet: 0 1\ntransition: rw (p,0) -> (h,1)\ntransition: rw (p,1) -> (h,0)\n"
     )
-    spec = parse_rtm_spec(text)
-    assert (config_space_size(spec).bit_length() - 1 >= MAX_CONFIG_BITS) == over
-    if over:
-        with pytest.raises(BudgetExceededError, match=r"^machine has 2\*\*257\.0 config"):
-            check_reversibility(spec)
-    else:
-        assert check_reversibility(spec).configs_checked == config_space_size(spec)
+    unary = parse_rtm_spec(header + "alphabet: 0\ntransition: rw (p,0) -> (h,0)\n")
+    assert (config_space_size(binary).bit_length() - 1 >= MAX_CONFIG_BITS) == over
+    for spec in (binary, unary):
+        if over:
+            with pytest.raises(BudgetExceededError, match=r"^machine has 2\*\*257\.0 config"):
+                check_reversibility(spec)
+        else:
+            assert check_reversibility(spec).configs_checked == config_space_size(spec)
