@@ -64,11 +64,11 @@ from .rtm import check_config_budget, initial_config
 MODE_RUN, MODE_PAD, MODE_UNPAD, MODE_UNRUN = 0, 1, 2, 3
 
 # Size caps. Every cost of V grows as 2**m: the counter points the compile
-# builds, the ground-truth budget of 4*2**(m+1) steps and the orbit walk. At
-# the cap, flip3's pattern on 8 cells builds 1.57M points in about 0.1 s, and
-# a machine that never halts is refused after 2**20 ground-truth steps in
-# 2.3 s. Merged flip3's 5.5M wire-level entries (37.8 MB) dump in about
-# 0.12 s at a 114 MB peak RSS (2-vCPU Xeon).
+# builds, the ground-truth budget of counter_size - 2 = 2**(m+1) - 2 steps
+# and the orbit walk. At the cap, flip3's pattern on 8 cells builds 1.57M
+# points in about 0.1 s, and a machine that never halts is refused after
+# 262,142 ground-truth steps in 0.5-0.8 s. Merged flip3's 5.5M wire-level
+# entries (37.8 MB) dump in about 0.12 s at a 114 MB peak RSS (2-vCPU Xeon).
 MAX_REGISTER_BITS = 17
 MAX_DUMP_ENTRIES = 6_000_000
 
@@ -562,25 +562,25 @@ def _bookkeeping_maps(layout: RegisterLayout) -> list[Map]:
     ]
 
 
-def _counting_passes(layout: RegisterLayout) -> Callable[[list[int], tuple, int], int]:
-    """``skip(values, start, budget)`` for V over ``layout``: adds to
-    ``values`` the next passes that only count, at most ``budget`` and none
-    past where the counter meets ``start``'s, and returns how many. As in
-    ``_bookkeeping_maps``, U and U^-1 act in run and unwind-run mode only;
-    from counter c and idle counter i, the next min(cmax-1-c, cmax-i) passes
-    in pad mode add 1 to both, before the counter reaches all-ones (answer
-    copy, pad<->unpad) or the idle counter wraps to 0 (run<->pad), and the
-    next min(c, i-1) in unwind-pad mode subtract 1, before the counter wraps
-    to all-ones (pad<->unpad) or the idle counter reaches 0 (unpad<->unrun)."""
+def _counting_passes(layout: RegisterLayout) -> Callable[[list[int], tuple], int]:
+    """``skip(values, start)`` for V over ``layout``: adds to ``values`` the
+    next passes that only count, none past where the counter meets
+    ``start``'s, and returns how many. As in ``_bookkeeping_maps``, U and
+    U^-1 act in run and unwind-run mode only; from counter c and idle
+    counter i, the next min(cmax-1-c, cmax-i) passes in pad mode add 1 to
+    both, before the counter reaches all-ones (answer copy, pad<->unpad) or
+    the idle counter wraps to 0 (run<->pad), and the next min(c, i-1) in
+    unwind-pad mode subtract 1, before the counter wraps to all-ones
+    (pad<->unpad) or the idle counter reaches 0 (unpad<->unrun)."""
     (wm, sm, dm), (wc, sc, dc), (wi, si, di) = map(layout.field, (R_MODE, R_COUNTER, R_IDLE))
     cmax = layout.counter_max
 
-    def skip(values: list[int], start: tuple, budget: int) -> int:
+    def skip(values: list[int], start: tuple) -> int:
         mode, c, i = values[wm] // sm % dm, values[wc] // sc % dc, values[wi] // si % di
         if mode == MODE_PAD:
-            step, passes = 1, min(cmax - 1 - c, cmax - i, budget)
+            step, passes = 1, min(cmax - 1 - c, cmax - i)
         elif mode == MODE_UNPAD:
-            step, passes = -1, min(c, i - 1, budget)
+            step, passes = -1, min(c, i - 1)
         else:
             return 0
         back = (start[wc] // sc % dc - c) * step  # passes to the start's counter
@@ -637,20 +637,22 @@ def build_wrapper_circuit(spec: RtmSpec, merge_cells: bool = True) -> Circuit:
     return circuit
 
 
-def circuit_orbit_length(
-    circuit: Circuit, initial: BasisState, max_steps: int | None = None
-) -> int:
+def circuit_orbit_length(circuit: Circuit, initial: BasisState) -> int:
     """Smallest r >= 1 with circuit^r(initial) == initial, walking whole
     passes gate by gate, except that on V the passes that only count are
-    added in one go (``_counting_passes``). ``max_steps`` bounds the passes."""
-    if max_steps is None:
-        max_steps = 16 * circuit.layout.counter_size + 16
+    added in one go (``_counting_passes``). Raises ``BudgetExceededError``
+    when the walk is past its pass budget, checked between stretches, with
+    no recurrence found."""
+    # From an input V recurs after r = 2*(counter_size - 1) passes, or 2*r
+    # if the machine accepts; 2*r < 4*counter_size, so this budget is more
+    # than four times V's longest orbit from an input
+    budget = 16 * circuit.layout.counter_size + 16
     values = _checked_values(circuit.layout, initial)
     start = tuple(values)
     skip = _counting_passes(circuit.layout) if circuit.wrapper else None
     steps = 0
-    while steps < max_steps:
-        passes = skip(values, start, max_steps - steps) if skip else 0
+    while steps < budget:
+        passes = skip(values, start) if skip else 0
         if not passes:
             for gate in circuit.gates:
                 gate.apply_values(values)
@@ -658,9 +660,7 @@ def circuit_orbit_length(
         steps += passes
         if tuple(values) == start:
             return steps
-    raise BudgetExceededError(
-        f"no recurrence within {max_steps} applications of the circuit"
-    )
+    raise BudgetExceededError(f"no recurrence within {budget} applications of the circuit")
 
 
 # ---------------------------------------------------------------------------

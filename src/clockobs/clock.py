@@ -67,9 +67,7 @@ class Orbit:
     dimension: int
 
 
-def compute_orbit(
-    op: ForwardOperator, initial: ClockedState, max_steps: int | None = None
-) -> Orbit:
+def compute_orbit(op: ForwardOperator, initial: ClockedState) -> Orbit:
     """The cycle through ``initial``, found a whole pass at a time.
 
     The clock returns to its start only after a multiple of s forward
@@ -77,9 +75,8 @@ def compute_orbit(
     round to the one before it: the circuit R rotated to start there. With S
     the gates from the clock's on, C^k(Sx) = S R^k(x), so d is s times the
     orbit length of the circuit C itself through Sx: every clock position
-    walks C, and on V skips the passes that only count. ``max_steps`` bounds
-    the forward steps, counted in whole passes; without it
-    ``circuit_orbit_length``'s pass budget applies.
+    walks C, and on V skips the passes that only count, within
+    ``circuit_orbit_length``'s pass budget.
     """
     c, s, start = initial.clock_pos - 1, op.s, initial.circuit_state
     if not 0 <= c < s:
@@ -89,8 +86,7 @@ def compute_orbit(
         )
     if c:
         start = apply_circuit(Circuit(op.circuit.layout, op.circuit.gates[c:]), start)
-    passes = None if max_steps is None else max_steps // s
-    return Orbit(op, initial, s * circuit_orbit_length(op.circuit, start, passes))
+    return Orbit(op, initial, s * circuit_orbit_length(op.circuit, start))
 
 
 # ---------------------------------------------------------------------------

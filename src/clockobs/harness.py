@@ -5,10 +5,10 @@ decide: loads a machine, checks it is reversible, compiles the self-looping
 circuit, runs the machine directly for the ground truth, measures the clock
 observable's orbit, samples accuracy-limited outcomes and decides the
 machine's answer. Validate refuses a machine over ``rtm.MAX_CONFIG_BITS``
-and compile one whose m is over ``circuits.MAX_REGISTER_BITS``; the
-ground-truth step budget is set by the compiled circuit's m, so no machine
-is run that could not be compiled, and one that does not halt within it is
-refused.
+and compile one whose m is over ``circuits.MAX_REGISTER_BITS``; ground
+truth runs at most the longest run the compiled circuit's counters hold,
+``counter_size - 2`` = 2**(m+1) - 2 steps, so no machine is run that could
+not be compiled, and one that does not halt within that is refused.
 ``clock_machine`` runs parse to orbit, and the sample stage resolves the
 accuracy, for ``run_experiment`` and ``clockobs orbit``/``sample``/``decide``
 alike; ``clockobs compile`` and ``validate`` share the stages up to compile
@@ -193,9 +193,10 @@ def clock_machine(
     spec = load_machine(spec_path)
     circuit = compile_circuit(spec, merge_cells)
     with _stage("ground-truth"):
-        # a halting run never repeats a configuration, so it takes fewer
-        # than 2**m steps
-        budget = 4 * 2 ** (circuit.layout.m + 1)
+        # V's counters hold a run of at most counter_size - 2 steps, so a
+        # longer one certifies nothing; a halting run never repeats a
+        # configuration, so it takes fewer than 2**m steps and fits
+        budget = circuit.layout.counter_size - 2
         truth = rtm.run_machine(spec, input_word, max_steps=budget)
         if not truth.halted:
             raise ClockObsError(f"machine did not halt within {budget} steps; cannot certify")

@@ -373,7 +373,8 @@ def check_config_budget(spec: RtmSpec) -> None:
     bits += spec.tape_cells * math.log2(max(len(spec.alphabet), 2))
     if bits > MAX_CONFIG_BITS:
         raise BudgetExceededError(
-            f"machine has 2**{bits:.1f} configurations, over the cap 2**{MAX_CONFIG_BITS}"
+            f"machine needs {bits:.1f} configuration bits (each tape cell counts as "
+            f"at least one), over the cap {MAX_CONFIG_BITS}"
         )
 
 

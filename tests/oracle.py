@@ -472,13 +472,11 @@ def apply_backward(op: ForwardOperator, state: ClockedState) -> ClockedState:
     return ClockedState(BasisState(tuple(values)), pos)
 
 
-def orbit_length_by_steps(
-    circuit: Circuit, initial: BasisState, max_steps: int | None = None
-) -> int:
+def orbit_length_by_steps(circuit: Circuit, initial: BasisState) -> int:
     """``circuits.circuit_orbit_length`` one gate application at a time, each
-    a lookup in the gate's table as ``apply_gate`` makes it."""
-    if max_steps is None:
-        max_steps = 16 * circuit.layout.counter_size + 16
+    a lookup in the gate's table as ``apply_gate`` makes it, within the same
+    pass budget."""
+    max_steps = 16 * circuit.layout.counter_size + 16
     values = list(initial.values)
     start = tuple(values)
     tables = [(gate.fields, _gate_table(gate, False)) for gate in circuit.gates]

@@ -20,7 +20,7 @@ from clockobs.clock import (
     locality_report,
     spectral_model,
 )
-from clockobs.errors import BudgetExceededError, DimensionError
+from clockobs.errors import DimensionError
 from oracle import (
     apply_backward,
     apply_forward,
@@ -182,25 +182,6 @@ def test_orbit_from_every_clock_position_matches_forward_steps(word):
     for pos in range(1, op.s + 1):
         initial = ClockedState(start, pos)
         assert compute_orbit(op, initial).dimension == forward_steps_to_recur(op, initial), pos
-
-
-def test_orbit_budget_edge():
-    circuit = build_wrapper_circuit(corpus.load("flip"))
-    op = ForwardOperator(circuit)
-    initial = ClockedState(circuit.layout.initial_basis_state("0"), 3)
-    d = forward_steps_to_recur(op, initial)
-    with pytest.raises(BudgetExceededError):
-        compute_orbit(op, initial, max_steps=d - 1)
-    assert compute_orbit(op, initial, max_steps=d).dimension == d
-
-
-def test_orbit_budget_error():
-    spec = corpus.load("flip")
-    circuit = build_wrapper_circuit(spec)
-    op = ForwardOperator(circuit)
-    initial = ClockedState(circuit.layout.initial_basis_state("0"), 1)
-    with pytest.raises(BudgetExceededError):
-        compute_orbit(op, initial, max_steps=10)
 
 
 # ---------------------------------------------------------------------------

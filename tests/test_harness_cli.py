@@ -933,6 +933,67 @@ def test_cli_over_budget_exits_3_with_one_line(argv, cap, monkeypatch, tmp_path,
     assert len(captured.err.strip().splitlines()) == 1
 
 
+FLIP_TEXT = (  # flip without its comments; the error paths below edit it
+    "states: p0:rw h:final\nalphabet: 0 1\ninitial: p0\ntape_cells: 1\nresult_cell: 1\n"
+    "transition: rw (p0,0) -> (h,1)\ntransition: rw (p0,1) -> (h,0)\n"
+)
+LAST_RULE = "transition: rw (p0,1) -> (h,0)\n"
+HUGE_PHI = f"{10**399}/1"
+
+
+@pytest.mark.parametrize(
+    "edit,argv,code,line",
+    [
+        (("tape_cells: 1", "tape_cells: 0"), ["validate", "{spec}"], EXIT_VALIDATION,
+         "[parse] tape_cells must be >= 1"),
+        (("alphabet: 0 1\n", ""), ["validate", "{spec}"], EXIT_VALIDATION,
+         "[parse] alphabet must declare at least the blank symbol"),
+        (("(h,1)", "(q,1)"), ["validate", "{spec}"], EXIT_VALIDATION,
+         "[parse] unknown state 'q' in transition"),
+        ((LAST_RULE, LAST_RULE + "transition: rw (h,0) -> (p0,0)\n"), ["validate", "{spec}"],
+         EXIT_VALIDATION, "[parse] state 'h' is final, cannot take a read-write transition"),
+        ((LAST_RULE, LAST_RULE + "tape_cells 1\n"), ["validate", "{spec}"], EXIT_VALIDATION,
+         "[parse] expected 'key: value', got 'tape_cells 1' (line 8)"),
+        ((LAST_RULE, LAST_RULE + "initial: h\n"), ["validate", "{spec}"], EXIT_VALIDATION,
+         "[parse] initial state declared twice (line 8)"),
+        (("result_cell: 1", "result_cell: x"), ["validate", "{spec}"], EXIT_VALIDATION,
+         "[parse] result_cell wants an integer, got 'x' (line 5)"),
+        (("initial: p0\n", ""), ["validate", "{spec}"], EXIT_VALIDATION,
+         "[parse] missing 'initial:' line"),
+        (None, ["experiment", "--config", "{dir}/list.json"], EXIT_VALIDATION,
+         "[error] {dir}/list.json: config must be a JSON object"),
+        (None, ["experiment"], EXIT_VALIDATION, "[error] experiment needs --config or --spec"),
+        (None, ["phase-estimate", "--phi", HUGE_PHI, "--m", "3"], EXIT_VALIDATION,
+         f"[error] phase '{HUGE_PHI}' is too large for a float"),
+        (None, ["orbit", "{spec}", "--input", "0", "--out", "{dir}/missing/o.json"], EXIT_IO,
+         "[io] [Errno 2] No such file or directory: '{dir}/missing/o.json'"),
+    ],
+    ids=[
+        "tape-cells-0",
+        "no-alphabet",
+        "undeclared-state",
+        "rw-from-final",
+        "no-colon",
+        "initial-twice",
+        "result-cell-not-int",
+        "no-initial",
+        "config-json-list",
+        "experiment-without-machine",
+        "phi-too-large",
+        "out-in-missing-dir",
+    ],
+)
+def test_error_path_exits_with_its_code_and_one_line(edit, argv, code, line, tmp_path, capsys):
+    spec = tmp_path / "spec.rtm"
+    spec.write_text(FLIP_TEXT.replace(*edit) if edit else FLIP_TEXT, encoding="utf-8")
+    (tmp_path / "list.json").write_text("[1, 2]", encoding="utf-8")
+    where = {"spec": spec, "dir": tmp_path}
+    assert cli_dispatch([a.format(**where) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line.format(**where) + "\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1061,14 +1122,14 @@ def test_a_machine_that_does_not_halt_is_refused_by_every_command(command, tmp_p
     assert cli_dispatch(argv) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "[ground-truth] machine did not halt within 64 steps; cannot certify\n"
+    assert captured.err == "[ground-truth] machine did not halt within 14 steps; cannot certify\n"
 
 
 def test_clock_machine_certifies_exactly_the_runs_that_halt(tmp_path):
     # over reversible generated machines with m <= 6: ground truth refuses a
-    # run exactly when it does not halt within 4 * 2**(m+1) steps, and every
-    # run it certifies has d = s*r*(1+f). Each machine runs the input word
-    # whose outcome (no halt, reject, accept) has been checked least
+    # run exactly when it does not halt within V's counter_size - 2 steps,
+    # and every run it certifies has d = s*r*(1+f). Each machine runs the
+    # input word whose outcome (no halt, reject, accept) has been checked least
     rng, path, seen, drawn = random.Random(23), tmp_path / "machine.rtm", Counter(), 0
     while sum(seen.values()) < 40 or min(seen[k] for k in (None, 0, 1)) < 10:
         drawn += 1
@@ -1077,7 +1138,7 @@ def test_clock_machine_certifies_exactly_the_runs_that_halt(tmp_path):
         m = circuits.state_bits(spec)
         if m > 6 or rtm.check_reversibility(spec).violations:
             continue
-        budget = 4 * 2 ** (m + 1)
+        budget = circuits.wrapper_layout(spec).counter_size - 2
         word, truth = least_seen_run(spec, budget, seen, (None, 0, 1))
         path.write_text(spec_text(spec), encoding="utf-8")
         try:
@@ -1136,7 +1197,10 @@ def test_config_cap_fails_fast_with_one_budget_line(argv, cells, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     bits = {10_000: "10014.3", 100_000: "100017.6"}[cells]
-    assert captured.err == f"[budget] machine has 2**{bits} configurations, over the cap 2**256\n"
+    assert captured.err == (
+        f"[budget] machine needs {bits} configuration bits (each tape cell counts as at least one), "
+        "over the cap 256\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -1154,7 +1218,10 @@ def test_one_symbol_tape_is_refused_over_the_config_cap(argv, tmp_path, capsys):
     assert time.perf_counter() - started < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "[budget] machine has 2**100000026.6 configurations, over the cap 2**256\n"
+    assert captured.err == (
+        "[budget] machine needs 100000026.6 configuration bits (each tape cell counts as at least one), "
+        "over the cap 256\n"
+    )
 
 
 TARGET = (  # p is entered by the moving rule of q, so V cannot hold it fixed

@@ -445,7 +445,7 @@ def test_config_cap_is_on_log2_of_the_configuration_space(cells, over):
     assert (config_space_size(binary).bit_length() - 1 >= MAX_CONFIG_BITS) == over
     for spec in (binary, unary):
         if over:
-            with pytest.raises(BudgetExceededError, match=r"^machine has 2\*\*257\.0 config"):
+            with pytest.raises(BudgetExceededError, match=r"^machine needs 257\.0 configuration bits"):
                 check_reversibility(spec)
         else:
             assert check_reversibility(spec).configs_checked == config_space_size(spec)
