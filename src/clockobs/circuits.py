@@ -4,10 +4,9 @@ The single-step circuit U is defined once, as an ordered list of maps, each
 the registers it reads and the points of their values that it moves, listed
 directly: a move on (head, tape_index), a wall of index-controlled swaps that
 fetches the scanned cell into the accumulator, a rewrite on (head,
-accumulator), and the mirror wall that writes the cell back.
-``build_step_circuit`` places each map as a gate. One application of U
-performs the current state's transition (a move immediately followed by a
-rewrite is fused into the same application).
+accumulator), and the mirror wall that writes the cell back. One application
+of U performs the current state's transition (a move immediately followed by
+a rewrite is fused into the same application).
 
 ``build_wrapper_circuit`` builds the self-looping circuit V from the same
 list, each map's points built once: at the run mode's digit, then in reverse
@@ -28,8 +27,9 @@ the head is final. The solution bit is flipped once per pass, when the mode
 is pad, the counter is all-ones, and the result cell holds the accept symbol.
 Iterating V therefore returns every register to its initial value after
 2*(2**(m+1)-1) applications, except the solution bit which accumulates the
-machine's answer; a machine that accepts doubles the cycle. A machine with
-m over ``MAX_REGISTER_BITS`` is refused before any point is built.
+machine's answer; a machine that accepts doubles the cycle (from the pass
+position ``clock_start`` gives). A machine with m over ``MAX_REGISTER_BITS``
+is refused before any point is built.
 
 Each gate permutes the registers it reads, given and stored as the points it
 moves and their images, checked in O(k log k) for k points; the other
@@ -354,12 +354,6 @@ def _build_layout(
     return RegisterLayout(wires=tuple(wires), slots=slots, m=m, merged=merged, spec=spec)
 
 
-def machine_layout(spec: RtmSpec) -> RegisterLayout:
-    """One wire per machine register: head, tape_index, acc, tape cells."""
-    groups = [[f] for f in _machine_field_list(spec)]
-    return _build_layout(spec, groups, m=state_bits(spec), merged=False)
-
-
 def wrapper_layout(spec: RtmSpec, merge_cells: bool = True) -> RegisterLayout:
     """Full layout for the self-looping circuit.
 
@@ -470,33 +464,6 @@ def _step_maps(spec: RtmSpec) -> list[Map]:
     move = ("move", (R_HEAD, R_INDEX), *_moved(moves))
     rewrite = ("rewrite", (R_HEAD, R_ACC), *_moved(rewrites))
     return [move] + wall("swap") + [rewrite] + wall("swap2")
-
-
-def _guard_initial_state(spec: RtmSpec) -> None:
-    """The move gate can only hold a non-moving state fixed when no moving
-    rule lands on it (rule images occupy those table slots). The initial
-    state sits at an application boundary, so reject machines whose initial
-    state the circuit could not keep faithful."""
-    init, kind = spec.initial_state, spec.kind(spec.initial_state)
-    if kind in (StateKind.MOVE_RIGHT, StateKind.MOVE_LEFT):
-        return
-    held = "the step circuit cannot hold it fixed at an application boundary"
-    if any(r.target == init for r in spec.moving_rules.values()):
-        raise PermutationError(f"initial state {init!r} is the target of a moving rule; {held}")
-    if kind is StateKind.FINAL and any(r.target == init for r in spec.rw_rules.values()):
-        raise PermutationError(
-            f"initial final state {init!r} is the target of a read-write rule; {held}"
-        )
-
-
-def build_step_circuit(spec: RtmSpec) -> Circuit:
-    """Circuit for one machine transition (move first, then read-write; a
-    move that lands on a read-write state performs both in one application)."""
-    _guard_initial_state(spec)
-    layout = machine_layout(spec)
-    gates = (PermGate(*_placement(layout, regs), moved, image, label)
-             for label, regs, moved, image in _step_maps(spec))
-    return Circuit(layout=layout, gates=tuple(gates))
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +579,6 @@ def build_wrapper_circuit(spec: RtmSpec, merge_cells: bool = True) -> Circuit:
     is built when the machine is over ``rtm.MAX_CONFIG_BITS``, and before any
     map's points are built when its register space needs more than
     ``MAX_REGISTER_BITS`` bits."""
-    _guard_initial_state(spec)
     layout = wrapper_layout(spec, merge_cells=merge_cells)
     if layout.m > MAX_REGISTER_BITS:
         raise BudgetExceededError(
@@ -635,6 +601,26 @@ def build_wrapper_circuit(spec: RtmSpec, merge_cells: bool = True) -> Circuit:
     circuit = Circuit(layout=layout, gates=tuple(map(_shared, gates)))
     object.__setattr__(circuit, "wrapper", True)
     return circuit
+
+
+def clock_start(layout: RegisterLayout, input_word: Sequence[str] | str) -> tuple[BasisState, int]:
+    """The basis state and clock position (1..s) of V over ``layout`` where
+    the input's run starts: before ``run:move`` (1), unless a rule's image
+    fills the slot a gate of U needs to hold the initial state fixed. A
+    non-moving one that a moving rule enters starts after ``run:move`` (2),
+    a final one that a read-write rule enters after ``run:rewrite`` (n + 3),
+    with the scanned symbol in acc and 0 in cell 1, as the swap wall leaves
+    them."""
+    spec, state = layout.spec, layout.initial_basis_state(input_word)
+    init, kind = spec.initial_state, spec.kind(spec.initial_state)
+    moves_in = any(r.target == init for r in spec.moving_rules.values())
+    if moves_in and kind in (StateKind.READ_WRITE, StateKind.FINAL):
+        return state, 2
+    if kind is StateKind.FINAL and any(r.target == init for r in spec.rw_rules.values()):
+        cell = tape_register(1)  # every run starts on cell 1
+        fetched = {R_ACC: layout.get_register(state, cell), cell: 0}
+        return layout.set_registers(state, fetched), spec.tape_cells + 3
+    return state, 1
 
 
 def circuit_orbit_length(circuit: Circuit, initial: BasisState) -> int:

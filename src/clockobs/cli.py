@@ -11,8 +11,10 @@ success, 2 validation failure, 3 budget exhaustion, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -42,6 +44,12 @@ def _output(out: str | None, binary: bool = False):
         yield fh
 
 
+def _check_out_dir(out: str | None) -> None:
+    """Refuse, before any stage runs, an ``--out`` in a missing directory."""
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+
+
 def _emit(data, out: str | None) -> None:
     text = data if isinstance(data, str) else json.dumps(data, sort_keys=True, indent=2) + "\n"
     with _output(out) as fh:
@@ -65,6 +73,7 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    _check_out_dir(args.out)
     spec, _, clocked = harness.clock_machine(args.spec, args.input, not args.no_merge_cells)
     circuit, locality, d_obs = clocked.circuit, clocked.locality, clocked.orbit.dimension
     _emit(
@@ -98,6 +107,7 @@ def _cmd_spectrum(args) -> int:
 
 def _draw(args) -> tuple[rtm.RtmSpec, metrology.SampleBatch]:
     """One batch of ``--samples`` draws seeded with ``--seed``."""
+    _check_out_dir(args.out)
     metrology.check_sample_budget(args.samples)
     spec, _, clocked = harness.clock_machine(args.spec, args.input, not args.no_merge_cells)
     return spec, harness.draw_samples(clocked, args.accuracy, args.samples, [args.seed])

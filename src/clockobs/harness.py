@@ -174,11 +174,12 @@ def compile_circuit(spec: rtm.RtmSpec, merge_cells: bool) -> circuits.Circuit:
 
 
 def clock_orbit(circuit: circuits.Circuit, input_word: str) -> ClockedCircuit:
-    """Stage orbit: walk the clock orbit of the input, whose dimension d fixes
-    every measurement's outcome distribution."""
+    """Stage orbit: walk the clock orbit of the input from where its run
+    starts (``circuits.clock_start``); the orbit's dimension d fixes every
+    measurement's outcome distribution."""
     with _stage("orbit"):
         op = clock.ForwardOperator(circuit)
-        initial = clock.ClockedState(circuit.layout.initial_basis_state(input_word), 1)
+        initial = clock.ClockedState(*circuits.clock_start(circuit.layout, input_word))
         orbit = clock.compute_orbit(op, initial)
         locality = clock.locality_report(op)
     r_nominal = circuits.nominal_cycle_length(circuit.layout.m)

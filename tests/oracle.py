@@ -15,12 +15,15 @@ applies a gate, or its inverse, by a lookup in that table, so the walks here
 do not share the lookup they check: ``apply_forward`` takes one forward step
 of the clocked circuit, ``apply_backward`` one step of its inverse, and
 ``orbit_length_by_steps`` walks passes one gate application at a time.
-``circuits.build_step_circuit`` and ``build_wrapper_circuit`` enumerate the
-points each gate moves; ``dense_step_circuit`` and ``dense_wrapper_circuit``
-build the same gates the dense way, each register-level map evaluated by
+``build_step_circuit`` places U's maps (``circuits._step_maps``) as gates
+on their own, over ``machine_layout``'s one wire per machine register; it
+and ``circuits.build_wrapper_circuit`` enumerate the points each gate moves,
+and ``dense_step_circuit`` and ``dense_wrapper_circuit`` build the same gates
+the dense way, each register-level map evaluated by
 ``lift_gate`` on the whole grid of the registers it reads and every entry
 it leaves in place dropped. ``least_seen_run`` picks a machine's input word
-so that a property sees every outcome (accept, reject, no halt).
+so that a property sees every outcome (accept, reject, no halt); ``TARGET``
+and ``FINAL_TARGET`` are machines whose runs start mid-pass.
 ``clock.spectral_model`` gives the d-cycle's spectrum in closed form;
 ``dense_orbit_oracle`` recomputes it numerically from the d x d matrix, as
 the independent check of that formula. ``harness.write_samples_csv`` writes
@@ -58,10 +61,12 @@ from clockobs.circuits import (
     Circuit,
     PermGate,
     RegisterLayout,
-    _guard_initial_state,
+    _build_layout,
+    _machine_field_list,
     _placement,
+    _step_maps,
     complete_permutation,
-    machine_layout,
+    state_bits,
     tape_register,
     wrapper_layout,
 )
@@ -83,6 +88,20 @@ from clockobs.rtm import (
 
 MOVERS = (StateKind.MOVE_RIGHT, StateKind.MOVE_LEFT)
 DENSE_ORACLE_CAP = 4096
+
+# Two machines whose runs start mid-pass (``circuits.clock_start``). TARGET's
+# initial state p is entered by the moving rule of q, so its runs start just
+# after run:move; from 0 it cycles (p, q, p, q, ...) and never halts.
+# FINAL_TARGET's initial state p is final and entered by the read-write rules
+# of q, so its runs start just after run:rewrite.
+TARGET = (
+    "states: p:rw q:right h:final\nalphabet: 0 1\ninitial: p\ntape_cells: 2\n"
+    "transition: rw (p,0) -> (q,0)\ntransition: rw (p,1) -> (h,1)\ntransition: move q -> p +1\n"
+)
+FINAL_TARGET = (
+    "states: p:final q:rw\nalphabet: 0 1\ninitial: p\ntape_cells: 2\n"
+    "transition: rw (q,0) -> (p,1)\ntransition: rw (q,1) -> (p,0)\n"
+)
 
 
 def all_configs(spec: RtmSpec) -> Iterable[MachineConfig]:
@@ -401,10 +420,26 @@ def _lift_under_mode(layout: RegisterLayout, registers, fn: Callable, mode: int,
     return PermGate.from_table(support, dims, full, label, fields)
 
 
+def machine_layout(spec: RtmSpec) -> RegisterLayout:
+    """One wire per machine register: head, tape_index, acc, tape cells."""
+    groups = [[f] for f in _machine_field_list(spec)]
+    return _build_layout(spec, groups, m=state_bits(spec), merged=False)
+
+
+def build_step_circuit(spec: RtmSpec) -> Circuit:
+    """The step circuit U on its own, over ``machine_layout``: each of
+    ``circuits._step_maps`` placed as a gate, as V places them under the run
+    mode (move first, then read-write; a move that lands on a read-write
+    state performs both in one application)."""
+    layout = machine_layout(spec)
+    gates = (PermGate(*_placement(layout, regs), moved, image, label)
+             for label, regs, moved, image in _step_maps(spec))
+    return Circuit(layout=layout, gates=tuple(gates))
+
+
 def dense_step_circuit(spec: RtmSpec) -> Circuit:
-    """``circuits.build_step_circuit`` with every gate lifted densely from
-    its register-level map."""
-    _guard_initial_state(spec)
+    """``build_step_circuit`` with every gate lifted densely from its
+    register-level map."""
     layout = machine_layout(spec)
     gates = (lift_gate(layout, regs, fn, label) for label, regs, fn in dense_step_maps(spec))
     return Circuit(layout=layout, gates=tuple(gates))
@@ -414,7 +449,6 @@ def dense_wrapper_circuit(spec: RtmSpec, merge_cells: bool = True) -> Circuit:
     """``circuits.build_wrapper_circuit`` with every gate lifted densely: U's
     maps under the run mode, their inverses in reverse order under the
     unwind-run mode, then the bookkeeping maps. No compile cap."""
-    _guard_initial_state(spec)
     layout = wrapper_layout(spec, merge_cells=merge_cells)
     maps = dense_step_maps(spec)
     gates = [

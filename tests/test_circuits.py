@@ -16,13 +16,18 @@ import numpy as np
 import orjson
 import pytest
 from oracle import (
+    FINAL_TARGET,
+    TARGET,
     all_configs,
+    apply_forward,
+    build_step_circuit,
     dense_step_circuit,
     dense_wrapper_circuit,
     field_table,
     flip_walker,
     least_seen_run,
     lift_gate,
+    machine_layout,
     orbit_length_by_steps,
     random_machine,
     spec_text,
@@ -46,13 +51,11 @@ from clockobs.circuits import (
     Circuit,
     PermGate,
     apply_circuit,
-    build_step_circuit,
     build_wrapper_circuit,
     circuit_orbit_length,
     complete_permutation,
     dump_circuit,
     dump_circuit_json,
-    machine_layout,
     nominal_cycle_length,
     replay_dump,
     state_bits,
@@ -324,8 +327,10 @@ def test_wrapper_calls_each_map_once(monkeypatch):
 # sha256 of every gate's (label, fields) and int64 field_table, from
 # build_step_circuit and build_wrapper_circuit in both layouts, over 50
 # generated machines (random.Random(7)); a build that raises contributes its
-# exception class name. Recorded from the per-assignment lifting it replaced.
-GENERATED_GATE_TABLES_SHA256 = "4dcc45626d63e5907c07e22cf4cdc8814ba80ecc625d72481323ba2c3eb7bafc"
+# exception class name. Recorded from the per-assignment lifting it replaced;
+# the six of these machines whose run starts mid-pass (clock_start) were
+# recorded from the moved-point build, which equals the dense lifting.
+GENERATED_GATE_TABLES_SHA256 = "941862181297cd51cacce2b688635a3275b7ccaf237d6a603280b74947b303da"
 
 
 def test_generated_machine_gate_tables_are_pinned():
@@ -632,8 +637,31 @@ def test_step_circuit_is_a_bijection():
     assert len(seen) == size
 
 
-def test_initial_state_guard_rejects_moving_target():
-    text = """
+def _run_read_off(circuit, start, passes):
+    """The machine configurations, as (head, index, tape), that V's run mode
+    steps through in ``passes`` passes from the clocked state ``start``, read
+    gate by gate (``oracle.apply_forward``) whenever the accumulator holds 0,
+    each once."""
+    op, layout, seen = ForwardOperator(circuit), circuit.layout, []
+    for _ in range(passes * circuit.s):
+        if layout.get_register(start.circuit_state, R_MODE) != MODE_RUN:
+            break
+        *config, acc = read_machine_registers(layout, start.circuit_state)
+        if acc == 0 and seen[-1:] != [tuple(config)]:
+            seen.append(tuple(config))
+        start = apply_forward(op, start)
+    return seen
+
+
+def _machine_run(spec, word, steps):
+    """The first configurations of the run on ``word``, as (head, index, tape)."""
+    run = [rtm.initial_config(spec, word)]
+    while len(run) <= steps and spec.kind(run[-1].head_state) is not StateKind.FINAL:
+        run.append(rtm.step_machine(spec, run[-1]))
+    return [(c.head_state, c.tape_index, c.tape) for c in run]
+
+
+MOVE_ENTERED = """
 states: a:rw m:right
 alphabet: 0 1
 initial: a
@@ -642,9 +670,72 @@ transition: rw (a,0) -> (m,1)
 transition: rw (a,1) -> (m,0)
 transition: move m -> a +1
 """
-    spec = parse_rtm_spec(text)
-    with pytest.raises(PermutationError, match="initial state"):
-        build_step_circuit(spec)
+
+
+def test_clock_starts_just_after_the_gate_that_enters_the_initial_state():
+    # a moving rule enters a's initial state, whose runs then start just
+    # after run:move (position 2); read-write rules enter FINAL_TARGET's
+    # final initial state, whose runs start just after run:rewrite (position
+    # n + 3). From there V's run mode steps through the machine's run, two
+    # steps a pass for a, and from position 1 it does not
+    for text, position in ((MOVE_ENTERED, 2), (FINAL_TARGET, 5)):
+        spec = parse_rtm_spec(text)
+        for merged in (True, False):
+            circuit = build_wrapper_circuit(spec, merge_cells=merged)
+            layout = circuit.layout
+            for word in product(spec.alphabet, repeat=spec.tape_cells):
+                state, pos = circuits.clock_start(layout, word)
+                assert pos == position
+                seen = _run_read_off(circuit, ClockedState(state, pos), 6)
+                assert seen == _machine_run(spec, word, 11), (text, merged, word)
+                wrong = _run_read_off(circuit, ClockedState(layout.initial_basis_state(word), 1), 6)
+                assert wrong != _machine_run(spec, word, len(wrong) - 1), (text, merged, word)
+
+
+def test_runs_that_start_mid_pass_have_the_orbit_dimension_of_the_closed_form():
+    # reversible generated machines whose run starts mid-pass, m <= 8: every
+    # halting run, in both layouts, compiles and has d = s*r*(1+f) from
+    # clock_start, which starts after run:move or after run:rewrite
+    rng, machines, after = random.Random(11), 0, Counter()
+    for _ in range(1300):
+        spec = random_machine(rng)
+        if state_bits(spec) > 8 or rtm.check_reversibility(spec).violations:
+            continue
+        if circuits.clock_start(wrapper_layout(spec), "")[1] == 1:
+            continue
+        machines += 1
+        for merged in (True, False):
+            circuit = build_wrapper_circuit(spec, merge_cells=merged)
+            layout, r = circuit.layout, nominal_cycle_length(circuit.layout.m)
+            for word in product(spec.alphabet, repeat=spec.tape_cells):
+                truth = rtm.run_machine(spec, word, max_steps=layout.counter_size - 2)
+                if not truth.halted:
+                    continue
+                start = ClockedState(*circuits.clock_start(layout, word))
+                d = compute_orbit(ForwardOperator(circuit), start).dimension
+                assert d == circuit.s * r * (1 + truth.f_of_x), (spec_text(spec), merged, word)
+                gate = {2: "move", spec.tape_cells + 3: "rewrite"}[start.clock_pos]
+                after[gate, truth.f_of_x] += 1
+    assert machines >= 100 and len(after) == 4, (machines, after)
+
+
+def test_orbit_of_a_mid_pass_start_comes_back_after_d_forward_steps():
+    # stepping the forward operator one gate at a time from clock_start's
+    # (state, position) first comes back after exactly d steps
+    for text, word in ((TARGET, "01"), (TARGET, "11"), (FINAL_TARGET, "10"), (FINAL_TARGET, "01")):
+        spec = parse_rtm_spec(text)
+        for merged in (True, False):
+            circuit = build_wrapper_circuit(spec, merge_cells=merged)
+            op = ForwardOperator(circuit)
+            start = ClockedState(*circuits.clock_start(circuit.layout, word))
+            d = compute_orbit(op, start).dimension
+            f = rtm.run_machine(spec, word, max_steps=10).f_of_x
+            assert d == circuit.s * nominal_cycle_length(circuit.layout.m) * (1 + f)
+            state = apply_forward(op, start)
+            for _ in range(d - 1):
+                assert state != start
+                state = apply_forward(op, state)
+            assert state == start, (text, merged, word)
 
 
 # ---------------------------------------------------------------------------
@@ -866,10 +957,11 @@ def test_orbit_walk_matches_stepping_oracle_on_generated_machines():
 
 def test_wrapper_returns_every_register_but_the_answer_after_r_passes():
     # over reversible generated machines that halt, with m <= 6, in both
-    # layouts: r = 2*(2**(m+1)-1) passes of V from the initial state bring
-    # every register back but solution, which then holds f(x), and both
-    # layouts walk the same orbit length. Each machine runs the input word
-    # whose answer has been checked least, so both answers are covered
+    # layouts: r = 2*(2**(m+1)-1) passes of V from where the run starts
+    # (clock_start) bring every register back but solution, which then holds
+    # f(x), and both layouts walk the same orbit length. Each machine runs
+    # the input word whose answer has been checked least, so both answers
+    # are covered
     rng, answers, drawn = random.Random(31), Counter(), 0
     while sum(answers.values()) < 40 or min(answers[0], answers[1]) < 10:
         drawn += 1
@@ -882,20 +974,19 @@ def test_wrapper_returns_every_register_but_the_answer_after_r_passes():
         if run is None:
             continue  # no input word halts
         word, truth = run
-        try:
-            layouts = [build_wrapper_circuit(spec, merge_cells=merged) for merged in (True, False)]
-        except PermutationError:
-            continue  # an initial state the step circuit cannot hold
         lengths = set()
-        for circuit in layouts:
-            layout = circuit.layout
-            state = start = layout.initial_basis_state(word)
+        for merged in (True, False):
+            circuit = build_wrapper_circuit(spec, merge_cells=merged)
+            layout, gates = circuit.layout, circuit.gates
+            start, pos = circuits.clock_start(layout, word)
+            rotated = Circuit(layout, gates[pos - 1:] + gates[:pos - 1])
+            state = start
             for _ in range(nominal_cycle_length(m)):
-                state = apply_circuit(circuit, state)
+                state = apply_circuit(rotated, state)
             for register in layout.slots:
                 want = truth.f_of_x if register == R_SOLUTION else layout.get_register(start, register)
                 assert layout.get_register(state, register) == want, (spec_text(spec), register)
-            lengths.add(circuit_orbit_length(circuit, start))
+            lengths.add(circuit_orbit_length(rotated, start))
         assert len(lengths) == 1, spec_text(spec)
         answers[truth.f_of_x] += 1
 
@@ -957,10 +1048,7 @@ def test_orbit_walk_skips_counting_passes_as_the_stepping_oracle_walks_them():
         spec = random_machine(rng)
         if state_bits(spec) > 5 or rtm.check_reversibility(spec).violations:
             continue
-        try:
-            circuit = build_wrapper_circuit(spec, merge_cells=compared % 2 == 0)
-        except PermutationError:
-            continue  # an initial state the step circuit cannot hold
+        circuit = build_wrapper_circuit(spec, merge_cells=compared % 2 == 0)
         starts = _stretch_starts(circuit.layout, rng)
         _walks_agree(circuit, [starts[0], rng.choice(starts[1:7]), rng.choice(starts[7:])])
         compared += 1

@@ -9,7 +9,6 @@ from clockobs.circuits import (
     Circuit,
     apply_circuit,
     build_wrapper_circuit,
-    machine_layout,
     nominal_cycle_length,
     tape_register,
 )
@@ -27,6 +26,7 @@ from oracle import (
     dense_orbit_oracle,
     expanded_eigenvalues,
     lift_gate,
+    machine_layout,
 )
 
 

@@ -45,7 +45,7 @@ from clockobs.metrology import (
     phase_estimate_distribution,
     sample_phase_estimate,
 )
-from oracle import least_seen_run, random_machine, samples_csv_by_rows, spec_text
+from oracle import TARGET, least_seen_run, random_machine, samples_csv_by_rows, spec_text
 from test_pinned_behaviour import WRAPPER_DUMPS
 
 FLIP = str(corpus.path("flip"))
@@ -1144,8 +1144,6 @@ def test_clock_machine_certifies_exactly_the_runs_that_halt(tmp_path):
         try:
             outcome = clock_machine(path, word, merge_cells=rng.random() < 0.5)
         except StageError as exc:
-            if exc.stage == "compile":
-                continue  # an initial state V cannot hold
             outcome = exc
         if truth.halted:
             _, got, clocked = outcome
@@ -1224,26 +1222,49 @@ def test_one_symbol_tape_is_refused_over_the_config_cap(argv, tmp_path, capsys):
     )
 
 
-TARGET = (  # p is entered by the moving rule of q, so V cannot hold it fixed
-    "states: p:rw q:right h:final\nalphabet: 0 1\ninitial: p\ntape_cells: 2\n"
-    "transition: rw (p,0) -> (q,0)\ntransition: rw (p,1) -> (h,1)\ntransition: move q -> p +1\n"
-)
+CYCLES = "[ground-truth] machine did not halt within 126 steps; cannot certify\n"
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,code,err",
     [
-        ["compile", "TARGET"],
-        ["orbit", "TARGET", "--input", "0"],
-        ["experiment", "--spec", "TARGET", "--input", "0"],
+        pytest.param(["compile", "TARGET"], EXIT_OK, "", id="compile"),
+        pytest.param(["orbit", "TARGET", "--input", "0"], EXIT_VALIDATION, CYCLES, id="orbit"),
+        pytest.param(["experiment", "--spec", "TARGET", "--input", "0"], EXIT_VALIDATION, CYCLES,
+                     id="experiment"),
     ],
-    ids=lambda argv: argv[0],
 )
-def test_compile_failure_prints_one_compile_line_in_every_command(argv, tmp_path, capsys):
+def test_initial_state_entered_by_a_move_compiles_and_a_cycling_run_is_refused(
+    argv, code, err, tmp_path, capsys
+):
+    # TARGET's p is entered by q's moving rule: it compiles, and from 0 its
+    # run cycles p, q, p, q, ..., which ground truth refuses (m = 6)
     path = tmp_path / "target.rtm"
     path.write_text(TARGET, encoding="utf-8")
-    assert cli_dispatch([str(path) if a == "TARGET" else a for a in argv]) == EXIT_VALIDATION
-    assert capsys.readouterr().err == (
-        "[compile] initial state 'p' is the target of a moving rule; the step "
-        "circuit cannot hold it fixed at an application boundary\n"
-    )
+    assert cli_dispatch([str(path) if a == "TARGET" else a for a in argv]) == code
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-merge-cells"]], ids=["merged", "unmerged"])
+def test_initial_state_entered_by_a_move_clocks_from_just_after_the_move(flags, tmp_path, capsys):
+    # from 01, TARGET halts rejecting: d = s*r*(1+f) = 19 * 254, where the
+    # clock started at gate 1 would give 4,864
+    path = tmp_path / "target.rtm"
+    path.write_text(TARGET, encoding="utf-8")
+    assert cli_dispatch(["orbit", str(path), "--input", "01", *flags]) == EXIT_OK
+    orbit = json.loads(capsys.readouterr().out)
+    assert (orbit["gate_count"], orbit["r_nominal"], orbit["d_observed"]) == (19, 254, 4826)
+
+
+@pytest.mark.parametrize("command", ["orbit", "sample", "decide"])
+def test_out_in_a_missing_directory_fails_before_any_stage(command, tmp_path, monkeypatch, capsys):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran before --out was checked")
+
+    monkeypatch.setattr("clockobs.harness.clock_machine", no_stage)
+    out = tmp_path / "missing" / "out.txt"
+    assert cli_dispatch([command, FLIP, "--input", "0", "--out", str(out)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"[io] [Errno 2] No such file or directory: '{out}'\n"
+    assert list(tmp_path.iterdir()) == []
